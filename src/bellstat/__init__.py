@@ -16,6 +16,8 @@ The ``bellstat`` command line (:mod:`bellstat.cli`) orchestrates all four and
 emits machine-readable JSON/CSV reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import BellstatError, ValidationError
 from .populations import (
     TOL,
@@ -79,59 +81,8 @@ from .quantum import (
 
 __version__ = "0.1.0"
 
+# Every public name imported above; the submodules themselves are not exported.
 __all__ = [
-    "BellstatError",
-    "ValidationError",
-    "TOL",
-    "AXIS_LABELS",
-    "Axis",
-    "AxisTriple",
-    "ExactProbability",
-    "InequalityReport",
-    "PairOutcome",
-    "PopulationTable",
-    "SignTriple",
-    "Term",
-    "WIGNER_OUTCOMES",
-    "angle_between",
-    "exact_probability",
-    "outcome_populations",
-    "population_pair_partition",
-    "population_signs",
-    "wigner_check",
-    "wigner_check_probabilities",
-    "BOLTZMANN_SI",
-    "Entropy",
-    "Multiplicity",
-    "MultiplicityVector",
-    "combine",
-    "dice_multiplicity",
-    "dice_probability",
-    "entropy_from_multiplicity",
-    "entropy_inequality",
-    "entropy_ratios",
-    "find_multiplicity_counterexample",
-    "gibbs_entropy",
-    "joint_multiplicity",
-    "multiplicity_from_entropy",
-    "multiplicity_inequality",
-    "multiplicity_probability",
-    "product_inequality",
-    "CHUNK_SIZE",
-    "DivergenceReport",
-    "DrawRecord",
-    "EmpiricalEstimate",
-    "ReservoirSpec",
-    "SeedDivergence",
-    "depletion_trajectory",
-    "empirical_probability",
-    "finite_vs_infinite_divergence",
-    "ScanPoint",
-    "SingletPrediction",
-    "SingletSampleCounts",
-    "quantum_wigner_scan",
-    "singlet_prediction",
-    "singlet_prediction_statevector",
-    "singlet_sample",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -5,9 +5,14 @@ Commands
 exact           Wigner inequality and exact outcome probabilities of a table.
 simulate        Monte Carlo reservoir sampling (infinite or finite mode).
 drain           Fully drain a finite bag and record the trajectory.
-quantum         Singlet-prediction inequality scan plus sampler estimates.
+quantum         Singlet-prediction inequality scan plus sampler estimates;
+                ``steps`` grids an ``--axes-spacing`` scan, explicit axes give one point.
 entropy         Multiplicity/entropy inequality checks on a vector.
 counterexample  Random search for a sum-form inequality violator.
+
+Each command is one :class:`Command` entry in :data:`COMMANDS` (help line,
+pipeline, CSV header and CSV rows); the parser, :func:`run` and :func:`emit`
+all read that table.
 
 A single JSON config file can carry every option; command-line flags
 override file values, which override defaults (seed 42, samples 100000,
@@ -31,8 +36,8 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -58,7 +63,7 @@ from .entropy import (
     multiplicity_inequality,
     product_inequality,
 )
-from .quantum import quantum_wigner_scan, singlet_prediction, singlet_sample
+from .quantum import quantum_wigner_scan, singlet_prediction, singlet_sample, wigner_point
 from .reservoir import (
     EmpiricalEstimate,
     ReservoirSpec,
@@ -69,23 +74,7 @@ from .reservoir import (
 from .rng import validate_seed
 from .presets import PRESET_NAMES, load_preset
 
-COMMANDS = ("exact", "simulate", "drain", "quantum", "entropy", "counterexample")
 SCHEMA_ID = "bellstat-report/1"
-
-_DEFAULTS: dict[str, Any] = {
-    "table": None,
-    "omegas": None,
-    "axes_spacing_deg": None,
-    "axes": None,
-    "steps": 1,
-    "samples": 100_000,
-    "seed": 42,
-    "policy": "equal",
-    "epsilon": 0.05,
-    "mode": "infinite",
-    "format": "json",
-    "out": None,
-}
 
 
 @dataclass(frozen=True)
@@ -130,6 +119,10 @@ class ExperimentConfig:
             raise ValidationError(f"command {self.command!r} requires a population table")
         if self.command == "quantum" and self.axes_spacing_deg is None and self.axes is None:
             raise ValidationError("command 'quantum' requires --axes-spacing or explicit axes")
+        if self.command == "quantum" and self.axes is not None and self.steps > 1:
+            raise ValidationError(
+                f"steps applies only to --axes-spacing scans, got {self.steps} with explicit axes"
+            )
         if self.command == "entropy" and self.omegas is None and self.table is None:
             raise ValidationError("command 'entropy' requires --omegas or a table to derive them")
         if self.command == "simulate" and self.mode == "finite":
@@ -138,6 +131,10 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"cannot draw {self.samples} pairs from a finite bag of {self.table.total}"
                 )
+
+
+# Every config key with its default; the keys a config file or flag may set.
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "command"}
 
 
 @dataclass(frozen=True)
@@ -209,14 +206,11 @@ def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 # ---------------------------------------------------------------------------
 
 
+_OUTCOME_COLUMNS = ("alice_axis", "alice_sign", "bob_axis", "bob_sign")
+
+
 def _outcome_dict(o: PairOutcome) -> dict:
-    return {
-        "label": o.label(),
-        "alice_axis": o.alice_axis,
-        "alice_sign": o.alice_sign,
-        "bob_axis": o.bob_axis,
-        "bob_sign": o.bob_sign,
-    }
+    return {"label": o.label(), **{k: getattr(o, k) for k in _OUTCOME_COLUMNS}}
 
 
 def _term_dict(t: Term) -> dict:
@@ -248,48 +242,54 @@ def _ineq_dict(r: InequalityReport) -> dict:
     return d
 
 
-def _estimate_dict(e: EmpiricalEstimate, reference: float | None = None) -> dict:
-    d: dict[str, Any] = {
+def _estimate_dict(e: EmpiricalEstimate, reference: float) -> dict:
+    return {
         "outcome": _outcome_dict(e.outcome),
         "p_hat": e.p_hat,
         "stderr": e.stderr,
         "n": e.n,
+        "reference": reference,
     }
-    if reference is not None:
-        d["reference"] = reference
-    return d
+
+
+def _echo_value(value: Any) -> Any:
+    if isinstance(value, PopulationTable):
+        return list(value.counts)
+    if isinstance(value, MultiplicityVector):
+        return list(value.omegas)
+    if isinstance(value, AxisTriple):
+        return {axis.label: list(axis.direction) for axis in (value.a, value.b, value.c)}
+    return value
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    axes = None
-    if config.axes is not None:
-        axes = {
-            "a": list(config.axes.a.direction),
-            "b": list(config.axes.b.direction),
-            "c": list(config.axes.c.direction),
-        }
+    """Every config field except ``out``, which names where the report goes."""
     return {
-        "command": config.command,
-        "table": list(config.table.counts) if config.table is not None else None,
-        "omegas": list(config.omegas.omegas) if config.omegas is not None else None,
-        "axes_spacing_deg": config.axes_spacing_deg,
-        "axes": axes,
-        "steps": config.steps,
-        "samples": config.samples,
-        "seed": config.seed,
-        "policy": config.policy,
-        "epsilon": config.epsilon,
-        "mode": config.mode,
-        "format": config.format,
+        f.name: _echo_value(getattr(config, f.name)) for f in fields(config) if f.name != "out"
     }
 
 
 # ---------------------------------------------------------------------------
-# Command pipelines
+# The command table: each pipeline is registered in COMMANDS next to its
+# code, and run() and emit() dispatch through it.
 # ---------------------------------------------------------------------------
 
 
-def _run_exact(config: ExperimentConfig) -> dict:
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: its help line, its pipeline ``run(config, workers)``,
+    and the CSV header and rows it emits from its ``results``."""
+
+    help: str
+    run: Callable[[ExperimentConfig, int], dict]
+    csv_header: tuple[str, ...]
+    csv_rows: Callable[[dict], list[list[Any]]]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def _run_exact(config: ExperimentConfig, workers: int) -> dict:
     assert config.table is not None
     report = wigner_check(config.table)
     probabilities = []
@@ -304,6 +304,24 @@ def _run_exact(config: ExperimentConfig) -> dict:
             }
         )
     return {"wigner": _ineq_dict(report), "probabilities": probabilities}
+
+
+COMMANDS["exact"] = Command(
+    help="exact probabilities and the Wigner inequality for a table",
+    run=_run_exact,
+    csv_header=(
+        "term", *_OUTCOME_COLUMNS, "populations", "numerator", "denominator", "probability",
+    ),
+    csv_rows=lambda results: [
+        [
+            t["label"],
+            *(t["outcome"][k] for k in _OUTCOME_COLUMNS),
+            ";".join(str(p) for p in t["populations"]),
+            t["numerator"], t["denominator"], t["value"],
+        ]
+        for t in results["wigner"]["terms"]
+    ],
+)
 
 
 def _run_simulate(config: ExperimentConfig, workers: int) -> dict:
@@ -327,7 +345,22 @@ def _run_simulate(config: ExperimentConfig, workers: int) -> dict:
     }
 
 
-def _run_drain(config: ExperimentConfig) -> dict:
+COMMANDS["simulate"] = Command(
+    help="Monte Carlo reservoir sampling against exact values",
+    run=_run_simulate,
+    csv_header=("outcome", *_OUTCOME_COLUMNS, "p_hat", "stderr", "n", "reference"),
+    csv_rows=lambda results: [
+        [
+            e["outcome"]["label"],
+            *(e["outcome"][k] for k in _OUTCOME_COLUMNS),
+            e["p_hat"], e["stderr"], e["n"], e["reference"],
+        ]
+        for e in results["estimates"]
+    ],
+)
+
+
+def _run_drain(config: ExperimentConfig, workers: int) -> dict:
     assert config.table is not None
     spec = ReservoirSpec.finite(config.table, config.seed)
     records = depletion_trajectory(spec)
@@ -348,32 +381,32 @@ def _run_drain(config: ExperimentConfig) -> dict:
     }
 
 
-def _run_quantum(config: ExperimentConfig) -> dict:
+COMMANDS["drain"] = Command(
+    help="fully drain a finite bag, recording each conditional step",
+    run=_run_drain,
+    csv_header=(
+        "step", "population",
+        *(f"p{i}" for i in range(1, 9)),
+        *(f"remaining{i}" for i in range(1, 9)),
+    ),
+    csv_rows=lambda results: [
+        [s["step"], s["population"], *s["conditional_probabilities"], *s["remaining"]]
+        for s in results["steps"]
+    ],
+)
+
+
+def _run_quantum(config: ExperimentConfig, workers: int) -> dict:
     if config.axes is not None:
         axes = config.axes
-        p_ab = singlet_prediction(axes.a, axes.b).p_pp
-        p_ac = singlet_prediction(axes.a, axes.c).p_pp
-        p_cb = singlet_prediction(axes.c, axes.b).p_pp
         theta = axes.angle("a", "c")
-        scan_points = [
-            {
-                "theta_deg": math.degrees(theta),
-                "lhs": p_ab,
-                "rhs": p_ac + p_cb,
-                "violated": not wigner_check_probabilities(p_ab, p_ac, p_cb).holds,
-            }
-        ]
+        scan = [(math.degrees(theta), wigner_point(axes, theta))]
     else:
         assert config.axes_spacing_deg is not None
         spacing = math.radians(config.axes_spacing_deg)
         axes = AxisTriple.coplanar(spacing)
-        scan_points = [
-            {
-                "theta_deg": config.axes_spacing_deg * k / config.steps,
-                "lhs": pt.lhs,
-                "rhs": pt.rhs,
-                "violated": pt.violated,
-            }
+        scan = [
+            (config.axes_spacing_deg * k / config.steps, pt)
             for k, pt in enumerate(quantum_wigner_scan(spacing, config.steps), start=1)
         ]
 
@@ -385,20 +418,29 @@ def _run_quantum(config: ExperimentConfig) -> dict:
         ).probability(outcome.alice_sign, outcome.bob_sign)
         estimates.append(_estimate_dict(counts.estimate(outcome), reference=predicted))
     return {
-        "scan": scan_points,
+        "scan": [
+            {"theta_deg": theta_deg, "lhs": pt.lhs, "rhs": pt.rhs, "violated": pt.violated}
+            for theta_deg, pt in scan
+        ],
         "sampler": {"n": counts.n, "estimates": estimates},
     }
 
 
-def _resolve_omegas(config: ExperimentConfig) -> MultiplicityVector:
-    if config.omegas is not None:
-        return config.omegas
-    assert config.table is not None
-    return MultiplicityVector.from_counts(config.table, config.policy)  # type: ignore[arg-type]
+COMMANDS["quantum"] = Command(
+    help="singlet-state inequality scan and sampler",
+    run=_run_quantum,
+    csv_header=("theta", "lhs", "rhs", "violated"),
+    csv_rows=lambda results: [
+        [pt["theta_deg"], pt["lhs"], pt["rhs"], pt["violated"]] for pt in results["scan"]
+    ],
+)
 
 
-def _run_entropy(config: ExperimentConfig) -> dict:
-    v = _resolve_omegas(config)
+def _run_entropy(config: ExperimentConfig, workers: int) -> dict:
+    v = config.omegas
+    if v is None:
+        assert config.table is not None
+        v = MultiplicityVector.from_counts(config.table, config.policy)  # type: ignore[arg-type]
     try:
         ratios: list[float] | None = list(entropy_ratios(v))
     except ValidationError:
@@ -412,7 +454,22 @@ def _run_entropy(config: ExperimentConfig) -> dict:
     }
 
 
-def _run_counterexample(config: ExperimentConfig) -> dict:
+COMMANDS["entropy"] = Command(
+    help="multiplicity and entropy inequality checks",
+    run=_run_entropy,
+    csv_header=("inequality", "lhs", "rhs", "margin", "holds", "equal_multiplicity_precondition"),
+    csv_rows=lambda results: [
+        [
+            name,
+            *(results[name][k] for k in ("lhs", "rhs", "margin", "holds")),
+            results[name].get("equal_multiplicity_precondition", ""),
+        ]
+        for name in ("multiplicity_inequality", "product_inequality", "entropy_inequality")
+    ],
+)
+
+
+def _run_counterexample(config: ExperimentConfig, workers: int) -> dict:
     found = find_multiplicity_counterexample(
         config.samples, seed=config.seed, epsilon=config.epsilon
     )
@@ -426,24 +483,25 @@ def _run_counterexample(config: ExperimentConfig) -> dict:
     }
 
 
+COMMANDS["counterexample"] = Command(
+    help="search for a sum-form inequality violator",
+    run=_run_counterexample,
+    csv_header=("found", *(f"omega{i}" for i in range(1, 9)), "lhs", "rhs", "margin"),
+    csv_rows=lambda results: [
+        [True, *results["omegas"], *(results["report"][k] for k in ("lhs", "rhs", "margin"))]
+    ] if results["found"] else [],
+)
+
+CSV_HEADERS = {name: command.csv_header for name, command in COMMANDS.items()}
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     """Execute one experiment.  Identical configs give identical results
     for any ``workers`` value."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    if config.command == "exact":
-        results = _run_exact(config)
-    elif config.command == "simulate":
-        results = _run_simulate(config, workers)
-    elif config.command == "drain":
-        results = _run_drain(config)
-    elif config.command == "quantum":
-        results = _run_quantum(config)
-    elif config.command == "entropy":
-        results = _run_entropy(config)
-    else:
-        results = _run_counterexample(config)
+    results = COMMANDS[config.command].run(config, workers)
     duration = time.perf_counter() - start
     return RunReport(
         config=_config_echo(config),
@@ -459,86 +517,13 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-CSV_HEADERS: dict[str, tuple[str, ...]] = {
-    "exact": (
-        "term", "alice_axis", "alice_sign", "bob_axis", "bob_sign",
-        "populations", "numerator", "denominator", "probability",
-    ),
-    "simulate": (
-        "outcome", "alice_axis", "alice_sign", "bob_axis", "bob_sign",
-        "p_hat", "stderr", "n", "reference",
-    ),
-    "drain": (
-        "step", "population",
-        *(f"p{i}" for i in range(1, 9)),
-        *(f"remaining{i}" for i in range(1, 9)),
-    ),
-    "quantum": ("theta", "lhs", "rhs", "violated"),
-    "entropy": ("inequality", "lhs", "rhs", "margin", "holds", "equal_multiplicity_precondition"),
-    "counterexample": ("found", *(f"omega{i}" for i in range(1, 9)), "lhs", "rhs", "margin"),
-}
-
-
-def _csv_rows(command: str, results: dict) -> list[list[Any]]:
-    if command == "exact":
-        return [
-            [
-                t["label"],
-                t["outcome"]["alice_axis"], t["outcome"]["alice_sign"],
-                t["outcome"]["bob_axis"], t["outcome"]["bob_sign"],
-                ";".join(str(p) for p in t["populations"]),
-                t["numerator"], t["denominator"], t["value"],
-            ]
-            for t in results["wigner"]["terms"]
-        ]
-    if command == "simulate":
-        return [
-            [
-                e["outcome"]["label"],
-                e["outcome"]["alice_axis"], e["outcome"]["alice_sign"],
-                e["outcome"]["bob_axis"], e["outcome"]["bob_sign"],
-                e["p_hat"], e["stderr"], e["n"], e["reference"],
-            ]
-            for e in results["estimates"]
-        ]
-    if command == "drain":
-        return [
-            [s["step"], s["population"], *s["conditional_probabilities"], *s["remaining"]]
-            for s in results["steps"]
-        ]
-    if command == "quantum":
-        return [
-            [pt["theta_deg"], pt["lhs"], pt["rhs"], pt["violated"]]
-            for pt in results["scan"]
-        ]
-    if command == "entropy":
-        rows = []
-        for name in ("multiplicity_inequality", "product_inequality", "entropy_inequality"):
-            r = results[name]
-            rows.append(
-                [name, r["lhs"], r["rhs"], r["margin"], r["holds"],
-                 r.get("equal_multiplicity_precondition", "")]
-            )
-        return rows
-    if command == "counterexample":
-        if not results["found"]:
-            return []
-        r = results["report"]
-        return [[True, *results["omegas"], r["lhs"], r["rhs"], r["margin"]]]
-    raise ValidationError(f"unknown command {command!r}")
-
-
 def emit(report: RunReport, fmt: str) -> str:
     """Serialize a report: one stable JSON document, or CSV rows per step."""
     if fmt == "json":
         return dumps_stable(report.document()) + "\n"
     if fmt == "csv":
-        command = report.config["command"]
-        return _csv_lines(CSV_HEADERS[command], _csv_rows(command, report.results))
+        command = COMMANDS[report.config["command"]]
+        return _csv_lines(command.csv_header, command.csv_rows(report.results))
     raise ValidationError(f"unknown format {fmt!r}")
 
 
@@ -547,16 +532,9 @@ def emit(report: RunReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, convert: Callable[[str], Any]) -> list:
     try:
-        return [int(x.strip()) for x in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from None
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(x.strip()) for x in text.split(",")]
+        return [convert(x.strip()) for x in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from None
 
@@ -583,7 +561,7 @@ def _table_from(value: Any) -> PopulationTable:
     if isinstance(value, PopulationTable):
         return value
     if isinstance(value, str):
-        value = _parse_int_list(value, "table")
+        value = _parse_list(value, "table", int)
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"table must be a list of 8 counts, got {value!r}")
     for n in value:
@@ -596,7 +574,7 @@ def _omegas_from(value: Any) -> MultiplicityVector:
     if isinstance(value, MultiplicityVector):
         return value
     if isinstance(value, str):
-        value = _parse_float_list(value, "omegas")
+        value = _parse_list(value, "omegas", float)
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"omegas must be a list of 8 positive reals, got {value!r}")
     return MultiplicityVector.from_iterable(value)
@@ -664,16 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Population-counting Bell inequality experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    help_by_command = {
-        "exact": "exact probabilities and the Wigner inequality for a table",
-        "simulate": "Monte Carlo reservoir sampling against exact values",
-        "drain": "fully drain a finite bag, recording each conditional step",
-        "quantum": "singlet-state inequality scan and sampler",
-        "entropy": "multiplicity and entropy inequality checks",
-        "counterexample": "search for a sum-form inequality violator",
-    }
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=help_by_command[command])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="FILE", help="JSON config file or preset name")
         p.add_argument("--axes-spacing", dest="axes_spacing_deg", type=float, metavar="DEG",
                        help="coplanar axis spacing in degrees")
@@ -695,17 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {
-        "axes_spacing_deg": args.axes_spacing_deg,
-        "table": args.table,
-        "omegas": args.omegas,
-        "samples": args.samples,
-        "seed": args.seed,
-        "policy": args.policy,
-        "epsilon": args.epsilon,
-        "format": args.format,
-        "out": args.out,
-    }
+    # Keys without a flag (axes, steps, mode) come from --config only.
+    overrides = {key: getattr(args, key, None) for key in _DEFAULTS}
     try:
         config = resolve_config(args.command, args.config, overrides)
         report = run(config, workers=args.workers)

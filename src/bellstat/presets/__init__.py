@@ -10,10 +10,6 @@ from ..errors import ValidationError
 PRESET_NAMES = ("wigner-uniform", "marble-bag", "quantum-60", "counterexample-search")
 
 
-def preset_names() -> tuple[str, ...]:
-    return PRESET_NAMES
-
-
 def load_preset(name: str) -> dict:
     """Load a shipped preset configuration by name."""
     if name not in PRESET_NAMES:

@@ -112,27 +112,30 @@ class ScanPoint:
     violated: bool
 
 
+def wigner_point(axes: AxisTriple, theta: float) -> ScanPoint:
+    """Wigner check P(+a;+b) <= P(+a;+c) + P(+c;+b) on singlet predictions
+    for one axis triple, labelled with the a-c angle ``theta``.  Violation is
+    flagged where lhs > rhs + 1e-12."""
+    lhs = singlet_prediction(axes.a, axes.b).p_pp
+    rhs = singlet_prediction(axes.a, axes.c).p_pp + singlet_prediction(axes.c, axes.b).p_pp
+    return ScanPoint(theta=theta, lhs=lhs, rhs=rhs, violated=lhs > rhs + TOL)
+
+
 def quantum_wigner_scan(spacing: float, steps: int = 1) -> tuple[ScanPoint, ...]:
     """Scan the Wigner inequality on singlet predictions over coplanar axes.
 
-    Evaluates ``steps`` equally spaced angles spacing/steps, 2*spacing/steps,
-    ..., spacing.  At each angle theta the axes are coplanar with a-c and c-b
-    angles theta (a-b angle 2*theta), giving lhs = (1/2) sin^2(theta) and
-    rhs = sin^2(theta/2).  Violation is flagged where lhs > rhs + 1e-12;
-    analytically that is exactly 0 < theta < pi/2.
+    Evaluates :func:`wigner_point` at ``steps`` equally spaced angles
+    spacing/steps, 2*spacing/steps, ..., spacing.  At each angle theta the
+    axes are coplanar with a-c and c-b angles theta (a-b angle 2*theta),
+    giving lhs = (1/2) sin^2(theta) and rhs = sin^2(theta/2), so a violation
+    is flagged exactly where 0 < theta < pi/2.
     """
     if not 0.0 < spacing < math.pi:
         raise ValidationError(f"spacing must be in (0, pi), got {spacing!r}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps!r}")
-    points = []
-    for k in range(1, steps + 1):
-        theta = float(spacing) * k / steps
-        axes = AxisTriple.coplanar(theta)
-        lhs = singlet_prediction(axes.a, axes.b).p_pp
-        rhs = singlet_prediction(axes.a, axes.c).p_pp + singlet_prediction(axes.c, axes.b).p_pp
-        points.append(ScanPoint(theta=theta, lhs=lhs, rhs=rhs, violated=lhs > rhs + TOL))
-    return tuple(points)
+    thetas = (float(spacing) * k / steps for k in range(1, steps + 1))
+    return tuple(wigner_point(AxisTriple.coplanar(theta), theta) for theta in thetas)
 
 
 @dataclass(frozen=True)

@@ -243,14 +243,12 @@ def finite_vs_infinite_divergence(
     n: int,
     seeds: Sequence[int],
     outcome: PairOutcome | None = None,
-    workers: int = 1,
 ) -> DivergenceReport:
     """Compare finite-mode conditional probabilities against the fixed
     infinite-mode values over ``n`` draws, one drain per seed.
 
     The first draw always matches infinite mode exactly, so with n = 1 every
-    deviation is 0.  Seeds are processed independently (parallelizable) and
-    reported in the given order.
+    deviation is 0.  Seeds are reported in the given order.
     """
     if not seeds:
         raise ValidationError("at least one seed is required")
@@ -280,16 +278,10 @@ def finite_vs_infinite_divergence(
             )
         return SeedDivergence(seed=seed, deviations=tuple(devs), l1_deviations=tuple(l1s))
 
-    if workers == 1:
-        per_seed = tuple(run(s) for s in seeds)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = tuple(pool.map(run, seeds))
-
     return DivergenceReport(
         bag=bag,
         n=n,
         outcome=outcome,
         infinite_probability=p_inf,
-        per_seed=per_seed,
+        per_seed=tuple(run(s) for s in seeds),
     )

@@ -1,6 +1,7 @@
 """Tests for the command-line front end, config resolution, and emission."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from bellstat.cli import (
     resolve_config,
     run,
 )
-from bellstat.populations import PopulationTable
+from bellstat.populations import AxisTriple, PopulationTable
 from bellstat.presets import PRESET_NAMES, load_preset
 
 
@@ -100,6 +101,17 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             resolve_config("quantum", str(path), {})
 
+    def test_steps_with_explicit_axes_rejected(self, tmp_path, capsys):
+        axes = {"a": [0, 0, 1], "b": [0, 1, 0], "c": [1, 0, 0]}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"axes": axes, "steps": 3, "samples": 100}))
+        assert main(["quantum", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "steps" in err and "--axes-spacing" in err
+        path.write_text(json.dumps({"axes": axes, "steps": 1, "samples": 100}))
+        assert len(run(resolve_config("quantum", str(path), {})).results["scan"]) == 1
+
     def test_quantum_needs_geometry(self):
         with pytest.raises(ValidationError):
             resolve_config("quantum", None, {})
@@ -160,6 +172,18 @@ class TestRun:
         (point,) = report.results["scan"]
         assert point["theta_deg"] == pytest.approx(90.0, abs=1e-9)
 
+    @pytest.mark.parametrize("spacing_deg", [30.0, 60.0, 90.0, 135.0])
+    def test_explicit_axes_match_axes_spacing(self, spacing_deg):
+        axes = AxisTriple.coplanar(math.radians(spacing_deg))
+        explicit = run(resolve_config("quantum", None, {"axes": axes, "samples": 100}))
+        spaced = run(
+            resolve_config("quantum", None, {"axes_spacing_deg": spacing_deg, "samples": 100})
+        )
+        (a,) = explicit.results["scan"]
+        (b,) = spaced.results["scan"]
+        assert (a["lhs"], a["rhs"], a["violated"]) == (b["lhs"], b["rhs"], b["violated"])
+        assert a["theta_deg"] == pytest.approx(b["theta_deg"], abs=1e-9)
+
     def test_drain_reaches_certainty(self):
         config = resolve_config("drain", None, {"table": "2,1,0,0,0,0,0,0"})
         report = run(config)
@@ -191,7 +215,27 @@ class TestRun:
         assert report.results["entropy_inequality"]["holds"] is True
 
 
+# One config per command whose CSV has at least one row.
+CSV_ROW_CASES = {
+    "exact": {"table": "1,2,3,4,5,6,7,8"},
+    "simulate": {"table": "1,1,1,1,1,1,1,1", "samples": 2000},
+    "drain": {"table": "2,1,0,0,0,0,0,0"},
+    "quantum": {"axes_spacing_deg": 90.0, "steps": 3, "samples": 100},
+    "entropy": {"omegas": "1,1,10,10,1,1,1,1"},
+    "counterexample": {"samples": 10_000},
+}
+
+
 class TestEmission:
+    @pytest.mark.parametrize("command", CSV_HEADERS)
+    def test_every_csv_row_fills_the_header(self, command):
+        config = resolve_config(command, None, CSV_ROW_CASES[command])
+        header, *rows = emit(run(config), "csv").splitlines()
+        assert header.split(",") == list(CSV_HEADERS[command])
+        assert rows
+        for row in rows:
+            assert len(row.split(",")) == len(CSV_HEADERS[command])
+
     def test_json_round_trip_is_byte_identical(self):
         config = resolve_config(
             "quantum", None, {"axes_spacing_deg": 60.0, "samples": 1000}

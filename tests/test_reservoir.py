@@ -248,12 +248,6 @@ class TestDivergence:
             means.append(report.mean_max_abs_deviation)
         assert means[0] > means[1] > means[2]
 
-    def test_worker_count_never_changes_the_report(self):
-        bag = PopulationTable.uniform(2)
-        a = finite_vs_infinite_divergence(bag, 16, seeds=range(8), workers=1)
-        b = finite_vs_infinite_divergence(bag, 16, seeds=range(8), workers=4)
-        assert a == b
-
     def test_overdraw_rejected(self):
         with pytest.raises(ValidationError):
             finite_vs_infinite_divergence(PopulationTable.uniform(), 9, seeds=[1])
