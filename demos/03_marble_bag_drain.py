@@ -15,16 +15,18 @@ from bellstat import (
 
 # Four "colors" of 25 marbles each (populations 5..8 left empty).
 bag = PopulationTable.from_counts((25, 25, 25, 25, 0, 0, 0, 0))
-records = depletion_trajectory(ReservoirSpec.finite(bag, seed=42))
+populations, counts = depletion_trajectory(ReservoirSpec.finite(bag, seed=42))
+before = counts[:-1]  # the bag just before each draw
+conditional = before / before.sum(axis=1, keepdims=True)
 
 print("step  drawn  conditional probabilities of populations 1..4")
-for r in records[:3] + records[-5:]:
-    probs = "  ".join(f"{p:.3f}" for p in r.conditional_probabilities[:4])
-    print(f"{r.step:>4}  {r.population:>5}  {probs}")
+for k in [*range(3), *range(bag.total - 5, bag.total)]:
+    probs = "  ".join(f"{p:.3f}" for p in conditional[k, :4])
+    print(f"{k + 1:>4}  {populations[k]:>5}  {probs}")
 
-last = records[-1]
-print(f"\nfinal draw: population {last.population} "
-      f"with pre-draw probability {last.conditional_probabilities[last.population - 1]}")
+last = populations[-1]
+print(f"\nfinal draw: population {last} "
+      f"with pre-draw probability {conditional[-1, last - 1]}")
 
 # How far does the finite bag drift from the infinite-source probabilities?
 # The headline channel tracks |P_finite - P_infinite| for one outcome; the L1

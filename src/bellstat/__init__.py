@@ -61,7 +61,6 @@ from .entropy import (
 from .reservoir import (
     CHUNK_SIZE,
     DivergenceReport,
-    DrawRecord,
     EmpiricalEstimate,
     ReservoirSpec,
     SeedDivergence,

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if not math.isfinite(self.epsilon):
+            raise ValidationError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon < 0:
             raise ValidationError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.policy not in ("equal", "proportional"):
@@ -277,11 +279,11 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class Command:
-    """One CLI command: its help line, its pipeline ``run(config, workers)``,
-    and the CSV header and rows it emits from its ``results``."""
+    """One CLI command: its help line, its pipeline ``run(config)``, and the
+    CSV header and rows it emits from its ``results``."""
 
     help: str
-    run: Callable[[ExperimentConfig, int], dict]
+    run: Callable[[ExperimentConfig], dict]
     csv_header: tuple[str, ...]
     csv_rows: Callable[[dict], list[list[Any]]]
 
@@ -289,7 +291,7 @@ class Command:
 COMMANDS: dict[str, Command] = {}
 
 
-def _run_exact(config: ExperimentConfig, workers: int) -> dict:
+def _run_exact(config: ExperimentConfig) -> dict:
     assert config.table is not None
     report = wigner_check(config.table)
     probabilities = []
@@ -324,10 +326,10 @@ COMMANDS["exact"] = Command(
 )
 
 
-def _run_simulate(config: ExperimentConfig, workers: int) -> dict:
+def _run_simulate(config: ExperimentConfig) -> dict:
     assert config.table is not None
     spec = ReservoirSpec(config.mode, config.table, config.seed)  # type: ignore[arg-type]
-    draws = sample(spec, config.samples, workers=workers)
+    draws = sample(spec, config.samples)
     estimates = []
     p_hats = []
     for outcome in WIGNER_OUTCOMES:
@@ -360,24 +362,27 @@ COMMANDS["simulate"] = Command(
 )
 
 
-def _run_drain(config: ExperimentConfig, workers: int) -> dict:
+def _run_drain(config: ExperimentConfig) -> dict:
     assert config.table is not None
     spec = ReservoirSpec.finite(config.table, config.seed)
-    records = depletion_trajectory(spec)
+    populations, counts = depletion_trajectory(spec)
+    before = counts[:-1]
+    probabilities = (before / before.sum(axis=1, keepdims=True)).tolist()
     steps = [
         {
-            "step": r.step,
-            "population": r.population,
-            "conditional_probabilities": list(r.conditional_probabilities),
-            "remaining": list(r.remaining.counts) if r.remaining is not None else None,
+            "step": step,
+            "population": population,
+            "conditional_probabilities": probs,
+            "remaining": remaining,
         }
-        for r in records
+        for step, (population, probs, remaining) in enumerate(
+            zip(populations.tolist(), probabilities, counts[1:].tolist()), start=1
+        )
     ]
-    final = records[-1]
     return {
         "initial_total": config.table.total,
         "steps": steps,
-        "final_conditional_probability": final.conditional_probabilities[final.population - 1],
+        "final_conditional_probability": probabilities[-1][int(populations[-1]) - 1],
     }
 
 
@@ -396,7 +401,7 @@ COMMANDS["drain"] = Command(
 )
 
 
-def _run_quantum(config: ExperimentConfig, workers: int) -> dict:
+def _run_quantum(config: ExperimentConfig) -> dict:
     if config.axes is not None:
         axes = config.axes
         theta = axes.angle("a", "c")
@@ -436,7 +441,7 @@ COMMANDS["quantum"] = Command(
 )
 
 
-def _run_entropy(config: ExperimentConfig, workers: int) -> dict:
+def _run_entropy(config: ExperimentConfig) -> dict:
     v = config.omegas
     if v is None:
         assert config.table is not None
@@ -469,7 +474,7 @@ COMMANDS["entropy"] = Command(
 )
 
 
-def _run_counterexample(config: ExperimentConfig, workers: int) -> dict:
+def _run_counterexample(config: ExperimentConfig) -> dict:
     found = find_multiplicity_counterexample(
         config.samples, seed=config.seed, epsilon=config.epsilon
     )
@@ -496,12 +501,12 @@ CSV_HEADERS = {name: command.csv_header for name, command in COMMANDS.items()}
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
-    """Execute one experiment.  Identical configs give identical results
-    for any ``workers`` value."""
+    """Execute one experiment.  ``workers`` is validated and echoed in
+    ``meta``; it changes neither the results nor the work done."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    results = COMMANDS[config.command].run(config, workers)
+    results = COMMANDS[config.command].run(config)
     duration = time.perf_counter() - start
     return RunReport(
         config=_config_echo(config),
@@ -593,14 +598,24 @@ def _axes_from(value: Any) -> AxisTriple:
     return AxisTriple(axis("a"), axis("b"), axis("c"))
 
 
+def _integer(key: str) -> Callable[[Any], int]:
+    """A converter that passes ints through and rejects anything else (bools,
+    floats, strings) instead of rounding or parsing it."""
+    def convert(value: Any) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        return value
+    return convert
+
+
 _CONVERTERS = {
     "table": _table_from,
     "omegas": _omegas_from,
     "axes": _axes_from,
     "axes_spacing_deg": float,
-    "steps": int,
-    "samples": int,
-    "seed": int,
+    "steps": _integer("steps"),
+    "samples": _integer("samples"),
+    "seed": _integer("seed"),
     "policy": str,
     "epsilon": float,
     "mode": str,
@@ -658,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), help="output format")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
         p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="parallel workers (never affects results)")
+                       help="echoed in the report's meta; changes nothing else")
     return parser
 
 

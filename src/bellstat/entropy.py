@@ -139,6 +139,8 @@ class MultiplicityVector:
         for w in self.omegas:
             if not w > 0:
                 raise ValidationError(f"multiplicities must be positive, got {w!r}")
+            if not math.isfinite(w):
+                raise ValidationError(f"multiplicities must be finite, got {w!r}")
 
     @classmethod
     def equal(cls, omega: float = 1.0) -> "MultiplicityVector":
@@ -224,6 +226,8 @@ def multiplicity_inequality(
     Guaranteed only for roughly equal multiplicities; the report's
     ``equal_multiplicity_precondition`` records whether max/min <= 1 + epsilon.
     """
+    if not math.isfinite(epsilon):
+        raise ValidationError(f"epsilon must be finite, got {epsilon!r}")
     if epsilon < 0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon!r}")
     t_34 = _product_term(v, "lhs omega_3*omega_4", (3, 4))

@@ -51,7 +51,7 @@ class Axis:
         if len(self.direction) != 3:
             raise ValidationError("axis direction must be a 3-vector")
         norm = math.sqrt(sum(x * x for x in self.direction))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # phrased so a nan component fails too
             raise ValidationError(f"axis direction must be unit length, |v| = {norm!r}")
 
     @classmethod
@@ -315,6 +315,8 @@ def _report(
     precondition: bool | None = None,
     note: str = "",
 ) -> InequalityReport:
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValidationError(f"inequality sides must be finite, got lhs {lhs!r}, rhs {rhs!r}")
     margin = rhs - lhs
     return InequalityReport(
         lhs=lhs,

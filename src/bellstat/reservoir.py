@@ -9,19 +9,24 @@ Two source models:
   probabilities drift as the bag depletes, ending at exactly 1 for whichever
   population survives last.
 
+A sample is one column: the population (1-8) of each draw, in step order.
+For a finite bag, :func:`remaining_counts` rebuilds the counts around every
+draw from that column; the conditional probabilities are its rows over their
+sums.
+
 Reproducibility contract: draws come from numpy's Philox generator, a
 counter-based RNG with a documented algorithm.  The stream for chunk ``c`` of
 master seed ``s`` uses Philox key ``c * 2**64 + s``.  Infinite-mode sampling
 is split into fixed chunks of 65536 draws whose boundaries depend only on the
-requested sample count, and chunks are merged in order, so results are
-bit-identical for any number of workers.  All draws resolve through integer
-thresholds (never float cumsums), so identical seeds give identical sequences.
+requested sample count.  Chunks are the unit of reproducibility, drawn one
+after another and concatenated in order, so a shorter run is a prefix of a
+longer one.  All draws resolve through integer thresholds (never float
+cumsums), so identical seeds give identical sequences.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -33,6 +38,9 @@ from .rng import stream, validate_seed
 
 #: Draws per independent Philox sub-stream in infinite mode.
 CHUNK_SIZE = 65536
+
+#: Composition totals must stay below this: draws are int64 Philox integers.
+TOTAL_LIMIT = 2**63
 
 ReservoirMode = Literal["infinite", "finite"]
 
@@ -54,6 +62,10 @@ class ReservoirSpec:
                 "composition needs at least one positive count "
                 f"(mode {self.mode!r}, total {self.composition.total})"
             )
+        if self.composition.total >= TOTAL_LIMIT:
+            raise ValidationError(
+                f"composition total must be below 2**63, got {self.composition.total}"
+            )
 
     @classmethod
     def infinite(cls, weights: PopulationTable, seed: int) -> "ReservoirSpec":
@@ -62,16 +74,6 @@ class ReservoirSpec:
     @classmethod
     def finite(cls, bag: PopulationTable, seed: int) -> "ReservoirSpec":
         return cls("finite", bag, seed)
-
-
-@dataclass(frozen=True, slots=True)
-class DrawRecord:
-    """One draw: 1-based step, population drawn, and the pre-draw state."""
-
-    step: int
-    population: int
-    conditional_probabilities: tuple[float, ...]
-    remaining: PopulationTable | None = None
 
 
 @dataclass(frozen=True)
@@ -88,22 +90,15 @@ def _conditional_tuple(counts: Sequence[int], total: int) -> tuple[float, ...]:
     return tuple(c / total for c in counts)
 
 
-def _sample_infinite_chunk(
-    counts: tuple[int, ...], total: int, seed: int, chunk: int, size: int
-) -> np.ndarray:
-    rng = stream(seed, chunk)
-    thresholds = np.cumsum(counts)
-    draws = rng.integers(0, total, size=size)
-    return np.searchsorted(thresholds, draws, side="right") + 1
-
-
-def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> list[DrawRecord]:
-    """Draw ``n`` pairs from the reservoir.
+def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
+    """Draw ``n`` pairs from the reservoir: the populations drawn (1-8), in
+    step order, as a 1-D int64 array.
 
     Infinite mode: i.i.d. categorical draws with probabilities N_i / total,
-    chunked across Philox sub-streams (parallelizable, worker-count
-    invariant).  Finite mode: uniform draws without replacement from the bag,
-    sequential by nature; each record snapshots the remaining bag.
+    one Philox sub-stream per chunk.  Finite mode: uniform draws without
+    replacement from the bag, sequential by nature; :func:`remaining_counts`
+    gives the bag around each draw.  ``workers`` must be >= 1 and changes
+    neither the draws nor the work done.
     """
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n!r}")
@@ -114,63 +109,52 @@ def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> list[DrawRecord]:
     total = spec.composition.total
 
     if spec.mode == "infinite":
-        probs = _conditional_tuple(counts, total)
-        chunks = range(math.ceil(n / CHUNK_SIZE))
-        sizes = [min(CHUNK_SIZE, n - c * CHUNK_SIZE) for c in chunks]
+        thresholds = np.cumsum(counts)
+        parts = []
+        for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
+            size = min(CHUNK_SIZE, n - start)
+            draws = stream(spec.seed, chunk).integers(0, total, size=size)
+            parts.append(np.searchsorted(thresholds, draws, side="right") + 1)
+        return np.concatenate(parts)
 
-        def run(c: int) -> np.ndarray:
-            return _sample_infinite_chunk(counts, total, spec.seed, c, sizes[c])
-
-        if workers == 1:
-            parts = [run(c) for c in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(run, chunks))
-        populations = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return [
-            DrawRecord(step=k, population=int(p), conditional_probabilities=probs)
-            for k, p in enumerate(populations, start=1)
-        ]
-
-    # finite mode
+    # finite mode: draw k is uniform below the total left before it (one
+    # broadcast call gives the same integers as n sequential scalar calls),
+    # and u < sum(current) stops the scan within the 8 counts.
     if n > total:
         raise ValidationError(f"cannot draw {n} pairs from a bag of {total}")
-    rng = stream(spec.seed)
     current = list(counts)
-    remaining_total = total
-    records: list[DrawRecord] = []
-    for step in range(1, n + 1):
-        probs = _conditional_tuple(current, remaining_total)
-        u = int(rng.integers(0, remaining_total))
-        acc = 0
-        population = 8
-        for i, c in enumerate(current):
-            acc += c
-            if u < acc:
-                population = i + 1
-                break
-        current[population - 1] -= 1
-        remaining_total -= 1
-        records.append(
-            DrawRecord(
-                step=step,
-                population=population,
-                conditional_probabilities=probs,
-                remaining=PopulationTable.from_counts(current),
-            )
-        )
-    return records
+    populations = []
+    for u in stream(spec.seed).integers(0, np.arange(total, total - n, -1)).tolist():
+        i = 0
+        while u >= current[i]:
+            u -= current[i]
+            i += 1
+        current[i] -= 1
+        populations.append(i + 1)
+    return np.array(populations, dtype=np.int64)
+
+
+def remaining_counts(bag: PopulationTable, populations: np.ndarray) -> np.ndarray:
+    """The ``(n + 1, 8)`` counts of ``bag`` around ``n`` finite draws: row
+    ``k`` is the bag before draw ``k + 1``, the last row the bag after the
+    final draw.  The conditional probabilities before each draw are
+    ``before / before.sum(axis=1, keepdims=True)`` with ``before = rows[:-1]``.
+    """
+    n = len(populations)
+    taken = np.zeros((n + 1, 8), dtype=np.int64)
+    taken[np.arange(1, n + 1), populations - 1] = 1
+    return np.array(bag.counts, dtype=np.int64) - taken.cumsum(axis=0)
 
 
 def empirical_probability(
-    draws: Sequence[DrawRecord], outcome: PairOutcome
+    draws: np.ndarray, outcome: PairOutcome
 ) -> EmpiricalEstimate:
-    """Fraction of draws whose population contributes to ``outcome``."""
-    if not draws:
-        raise ValidationError("cannot estimate from an empty draw list")
-    contributing = outcome_populations(outcome)
-    hits = sum(1 for r in draws if r.population in contributing)
+    """Fraction of draws (populations 1-8) that contribute to ``outcome``."""
     n = len(draws)
+    if n == 0:
+        raise ValidationError("cannot estimate from an empty draw list")
+    per_population = np.bincount(draws, minlength=9)
+    hits = int(per_population[list(outcome_populations(outcome))].sum())
     p_hat = hits / n
     return EmpiricalEstimate(
         outcome=outcome,
@@ -180,8 +164,9 @@ def empirical_probability(
     )
 
 
-def depletion_trajectory(spec: ReservoirSpec) -> list[DrawRecord]:
-    """Drain a finite reservoir completely.
+def depletion_trajectory(spec: ReservoirSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Drain a finite reservoir completely: the populations drawn and their
+    :func:`remaining_counts`.
 
     The final draw's conditional probability for the surviving population is
     exactly 1; once only one population remains its conditional series is
@@ -189,7 +174,8 @@ def depletion_trajectory(spec: ReservoirSpec) -> list[DrawRecord]:
     """
     if spec.mode != "finite":
         raise ValidationError("depletion trajectories require a finite reservoir")
-    return sample(spec, spec.composition.total)
+    populations = sample(spec, spec.composition.total)
+    return populations, remaining_counts(spec.composition, populations)
 
 
 @dataclass(frozen=True)
@@ -264,16 +250,17 @@ def finite_vs_infinite_divergence(
     p_inf = math.fsum(infinite_probs[i - 1] for i in contributing)
 
     def run(seed: int) -> SeedDivergence:
-        records = sample(ReservoirSpec.finite(bag, seed), n)
+        populations = sample(ReservoirSpec.finite(bag, seed), n)
         devs = []
         l1s = []
-        for r in records:
-            p_fin = math.fsum(r.conditional_probabilities[i - 1] for i in contributing)
+        for before in remaining_counts(bag, populations)[:-1].tolist():
+            probs = _conditional_tuple(before, sum(before))
+            p_fin = math.fsum(probs[i - 1] for i in contributing)
             devs.append(abs(p_fin - p_inf))
             l1s.append(
                 math.fsum(
                     abs(p - q)
-                    for p, q in zip(r.conditional_probabilities, infinite_probs)
+                    for p, q in zip(probs, infinite_probs)
                 )
             )
         return SeedDivergence(seed=seed, deviations=tuple(devs), l1_deviations=tuple(l1s))

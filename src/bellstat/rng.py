@@ -2,8 +2,8 @@
 
 Philox is a counter-based generator with a published algorithm, so a stream
 is fully identified by its key.  Sub-stream ``chunk`` of master ``seed`` uses
-key ``chunk * 2**64 + seed``; chunked work merged in chunk order is therefore
-bit-identical no matter how many workers execute it.
+key ``chunk * 2**64 + seed``, so chunked work is reproducible chunk by chunk:
+its draws depend only on the seed and the chunk index.
 """
 
 from __future__ import annotations

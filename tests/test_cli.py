@@ -132,6 +132,7 @@ class TestConfigValidation:
         [
             {"seed": -3},
             {"epsilon": -1.0},
+            {"epsilon": math.nan},
             {"format": "yaml"},
             {"axes_spacing_deg": 180.0},
             {"axes_spacing_deg": 0.0},
@@ -141,6 +142,48 @@ class TestConfigValidation:
         base = {"table": "1,1,1,1,1,1,1,1"}
         with pytest.raises(ValidationError):
             resolve_config("exact", None, {**base, **overrides})
+
+
+class TestHardening:
+    """Out-of-range input exits 2 with one message line, never a traceback."""
+
+    HUGE_TABLE = "100000000000000000000,1,1,1,1,1,1,1"  # total above 2**63
+
+    def exits_2(self, capsys, argv, *needles):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        for needle in needles:
+            assert needle in err
+
+    @pytest.mark.parametrize("command", ["simulate", "drain"])
+    def test_reservoir_total_at_2_63_rejected(self, capsys, command):
+        self.exits_2(capsys, [command, "--table", self.HUGE_TABLE], "2**63")
+
+    def test_finite_reservoir_total_at_2_63_rejected(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        table = [int(n) for n in self.HUGE_TABLE.split(",")]
+        path.write_text(json.dumps({"table": table, "mode": "finite", "samples": 3}))
+        self.exits_2(capsys, ["simulate", "--config", str(path)], "2**63")
+
+    def test_exact_handles_totals_above_2_63(self, capsys):
+        assert main(["exact", "--table", self.HUGE_TABLE]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["wigner"]["holds"] is True
+
+    def test_nan_epsilon_rejected_at_its_source(self, capsys):
+        argv = ["entropy", "--omegas", "1,1,1,1,1,1,1,1", "--epsilon", "nan"]
+        self.exits_2(capsys, argv, "epsilon must be finite")
+
+    def test_overflowing_multiplicities_rejected(self, capsys):
+        argv = ["entropy", "--omegas", "1e308,1e308,1e308,1e308,1,1,1,1"]
+        self.exits_2(capsys, argv, "must be finite")
+
+    @pytest.mark.parametrize("value", [1.7, True, "5"])
+    @pytest.mark.parametrize("key", ["samples", "steps", "seed"])
+    def test_non_integer_config_values_rejected(self, capsys, tmp_path, key, value):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"table": [1] * 8, key: value}))
+        self.exits_2(capsys, ["exact", "--config", str(path)], f"{key} must be an integer")
 
 
 class TestRun:

@@ -237,6 +237,12 @@ class TestMultiplicityProbability:
             )
 
 
+class TestMultiplicityVector:
+    def test_infinite_multiplicity_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            MultiplicityVector.from_iterable([math.inf] + [1.0] * 7)
+
+
 class TestMultiplicityInequality:
     def test_equal_vector_holds(self):
         report = multiplicity_inequality(MultiplicityVector.equal(2.0))
@@ -267,6 +273,17 @@ class TestMultiplicityInequality:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValidationError):
             multiplicity_inequality(MultiplicityVector.equal(), epsilon=-0.1)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon must be finite"):
+            multiplicity_inequality(MultiplicityVector.equal(), epsilon=epsilon)
+
+    def test_overflowing_sides_rejected_not_reported_as_violation(self):
+        # lhs and rhs both overflow to inf, so margin would be nan and holds False
+        v = MultiplicityVector.from_iterable([1e308] * 4 + [1.0] * 4)
+        with pytest.raises(ValidationError, match="must be finite"):
+            multiplicity_inequality(v)
 
 
 class TestProductInequality:

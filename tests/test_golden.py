@@ -1,0 +1,84 @@
+"""Byte gate: the ``config`` and ``results`` bytes of fixed runs never change.
+
+Each case pins the SHA-256 of two documents: the JSON report with ``meta``
+dropped (``config`` and ``results`` through ``dumps_stable``), and the CSV
+report.  The digests were taken from the record-per-draw sampler that the
+columnar one replaced, so any refactor that moves a draw, a float digit or a
+key fails here.  A change that means to alter report bytes updates a digest
+and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from bellstat.cli import dumps_stable, main
+
+# Finite mode has no flag, so this case reads a config file; ``None`` in its
+# argv stands for that file's path.
+FINITE_SIMULATE = {"table": [3, 2, 2, 1, 1, 2, 3, 2], "mode": "finite", "samples": 12, "seed": 9}
+
+# name -> (argv, sha256 of the JSON without meta, sha256 of the CSV)
+CASES = {
+    "exact-preset": (
+        ["exact", "--config", "wigner-uniform"],
+        "6872e39ea9d36c10b3a703a115971c75bcc10da392addbd42fc0b4ce3f577688",
+        "7e7c2d2a473033acb5ba407809854bbdbaa9d301b1ed24c8dd3f4abc74d83b43",
+    ),
+    "drain-preset": (
+        ["drain", "--config", "marble-bag"],
+        "d2f0100aa83a43a9a7c011ae223a62976fc14a480b37ab37bc845edb79fcada6",
+        "fd48265392797fe052101e3100b124ea830ae4ff74b67dc3303de69004473178",
+    ),
+    "quantum-preset": (
+        ["quantum", "--config", "quantum-60"],
+        "fb198906b5e34ecc96d43435c54212da67196bbc4b3bc74b62e8c6c994926cb3",
+        "30d68df04e5a8a70357edf435957af2108d5d4edc63a625afc220723fbabf700",
+    ),
+    "counterexample-preset": (
+        ["counterexample", "--config", "counterexample-search"],
+        "f0c11e84c2196f98a24fd7971958c662197061598a7b90c585260965a13d274e",
+        "f189a01f074e46472e2d10cfe1b6ac02d466cb05868714a7656ee76e96efc011",
+    ),
+    "criterion-9": (
+        ["simulate", "--table", "2,1,1,1,1,1,1,1", "--samples", "70000", "--seed", "13"],
+        "3b016f47558b02961019305d49401e9ed8578f81a74379faa822ae392286c414",
+        "697f10e73819c951c893a2234316f485b88d4ccf148527ec50509ee847632614",
+    ),
+    "finite-simulate": (
+        ["simulate", "--config", None],
+        "66bfbbb4208ce5da5ec1663f71f10da05078fe42397877b037cb513dd2b814b7",
+        "4588a970f25adca001e2ca19cdae5e89cae751f098a61e2f10157d90b68818e1",
+    ),
+    "drain-3": (
+        ["drain", "--table", "2,1,0,0,0,0,0,0", "--seed", "3"],
+        "1724bbb6b51cc890d19b60d711e164820db872fe6e2123472fd8308ab071cf20",
+        "754c24587d9395957c9cbebb2186ad9b31a3919d28118479d16a2d32e6936856",
+    ),
+    "drain-16": (
+        ["drain", "--table", "5,0,3,1,0,2,4,1", "--seed", "11"],
+        "2e633e2ec8226247b9560464cff86d413dae63d1c9e4fada9463997193409ecc",
+        "972bbdf16c69a1368c9529a09b203b2218c16b41722c42075505de6d53cc7667",
+    ),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_bytes_are_pinned(name, tmp_path, capsys):
+    argv, json_digest, csv_digest = CASES[name]
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(FINITE_SIMULATE))
+    argv = [str(path) if a is None else a for a in argv]
+
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    payload = dumps_stable({"config": doc["config"], "results": doc["results"]})
+    assert sha256(payload) == json_digest
+
+    assert main(argv + ["--format", "csv"]) == 0
+    assert sha256(capsys.readouterr().out) == csv_digest

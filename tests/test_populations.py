@@ -248,6 +248,12 @@ class TestAxes:
         with pytest.raises(ValidationError):
             Axis("a", (1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        # abs(nan - 1) > 1e-12 is False, so a unit-length check phrased that way lets nan through
+        with pytest.raises(ValidationError, match="unit length"):
+            Axis("a", (bad, 0.0, 0.0))
+
     def test_unit_constructor_normalizes(self):
         axis = Axis.unit("a", (3.0, 4.0, 0.0))
         assert axis.direction == pytest.approx((0.6, 0.8, 0.0))

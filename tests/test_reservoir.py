@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bellstat import (
@@ -16,9 +17,15 @@ from bellstat import (
     exact_probability,
     finite_vs_infinite_divergence,
 )
-from bellstat.reservoir import sample
+from bellstat.reservoir import remaining_counts, sample
 
 AB = PairOutcome("a", +1, "b", +1)
+
+
+def conditional_probabilities(bag, populations):
+    """Pre-draw conditional probabilities of a finite sample, one row per draw."""
+    before = remaining_counts(bag, populations)[:-1]
+    return before / before.sum(axis=1, keepdims=True)
 
 
 def expected_conditional(bag, population, step_target):
@@ -70,89 +77,87 @@ class TestSpecValidation:
 class TestDeterminism:
     def test_finite_sequences_are_reproducible(self):
         spec = ReservoirSpec.finite(PopulationTable.from_counts((3, 2, 1, 0, 1, 0, 0, 1)), seed=99)
-        assert sample(spec, 8) == sample(spec, 8)
+        assert np.array_equal(sample(spec, 8), sample(spec, 8))
 
     def test_infinite_sequences_are_reproducible(self):
         spec = ReservoirSpec.infinite(PopulationTable.uniform(), seed=99)
-        assert sample(spec, 5000) == sample(spec, 5000)
+        assert np.array_equal(sample(spec, 5000), sample(spec, 5000))
 
     def test_different_seeds_differ(self):
         bag = PopulationTable.uniform(100)
         a = sample(ReservoirSpec.infinite(bag, seed=1), 1000)
         b = sample(ReservoirSpec.infinite(bag, seed=2), 1000)
-        assert [r.population for r in a] != [r.population for r in b]
+        assert not np.array_equal(a, b)
 
     def test_worker_count_never_changes_the_draws(self):
         spec = ReservoirSpec.infinite(PopulationTable.uniform(), seed=5)
         n = CHUNK_SIZE + 1234  # spans two chunks
-        assert sample(spec, n, workers=1) == sample(spec, n, workers=4)
+        assert np.array_equal(sample(spec, n, workers=1), sample(spec, n, workers=4))
 
     def test_prefix_stability_across_lengths(self):
         # chunk boundaries depend only on position, so a shorter run is a prefix
         spec = ReservoirSpec.infinite(PopulationTable.uniform(), seed=5)
         long = sample(spec, 2000)
         short = sample(spec, 1500)
-        assert long[:1500] == short
+        assert np.array_equal(long[:1500], short)
 
 
 class TestFiniteDraws:
     def test_singleton_bag(self):
         bag = PopulationTable.from_counts((1, 0, 0, 0, 0, 0, 0, 0))
-        records = sample(ReservoirSpec.finite(bag, seed=3), 1)
-        assert len(records) == 1
-        assert records[0].population == 1
-        assert records[0].conditional_probabilities[0] == 1.0
+        populations = sample(ReservoirSpec.finite(bag, seed=3), 1)
+        assert len(populations) == 1
+        assert populations[0] == 1
+        assert conditional_probabilities(bag, populations)[0][0] == 1.0
 
     def test_conservation_of_pairs(self):
         bag = PopulationTable.from_counts((3, 2, 1, 0, 1, 0, 0, 1))
-        records = sample(ReservoirSpec.finite(bag, seed=17), bag.total)
-        for r in records:
-            assert r.remaining is not None
-            assert r.remaining.counts[r.population - 1] >= 0
-            assert sum(r.remaining.counts) + r.step == bag.total
+        populations = sample(ReservoirSpec.finite(bag, seed=17), bag.total)
+        remaining = remaining_counts(bag, populations)[1:]
+        assert remaining.shape == (bag.total, 8)
+        for step, (population, left) in enumerate(zip(populations, remaining), start=1):
+            assert left[population - 1] >= 0
+            assert left.sum() + step == bag.total
 
     def test_conditional_probabilities_normalized(self):
         bag = PopulationTable.from_counts((3, 2, 1, 0, 1, 0, 0, 1))
-        for r in sample(ReservoirSpec.finite(bag, seed=23), bag.total):
-            assert math.fsum(r.conditional_probabilities) == pytest.approx(1.0, abs=1e-12)
+        populations = sample(ReservoirSpec.finite(bag, seed=23), bag.total)
+        for row in conditional_probabilities(bag, populations):
+            assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_first_draw_matches_infinite_mode(self):
         bag = PopulationTable.from_counts((4, 3, 2, 1, 0, 0, 5, 1))
-        fin = sample(ReservoirSpec.finite(bag, seed=8), 1)[0]
-        inf = sample(ReservoirSpec.infinite(bag, seed=8), 1)[0]
-        assert fin.conditional_probabilities == inf.conditional_probabilities
+        fin = conditional_probabilities(bag, sample(ReservoirSpec.finite(bag, seed=8), 1))[0]
+        inf = [c / bag.total for c in bag.counts]  # infinite mode's fixed probabilities
+        assert fin.tolist() == inf
 
 
 class TestDepletion:
     def test_final_draw_is_certain(self):
         bag = PopulationTable.from_counts((2, 1, 0, 0, 0, 0, 0, 0))
         for seed in range(20):
-            records = depletion_trajectory(ReservoirSpec.finite(bag, seed=seed))
-            last = records[-1]
-            assert last.conditional_probabilities[last.population - 1] == 1.0
-            assert last.remaining is not None and last.remaining.total == 0
+            populations, counts = depletion_trajectory(ReservoirSpec.finite(bag, seed=seed))
+            last = populations[-1]
+            assert conditional_probabilities(bag, populations)[-1][last - 1] == 1.0
+            assert counts[-1].sum() == 0
 
     def test_single_pair_trajectory(self):
         bag = PopulationTable.from_counts((0, 0, 0, 0, 0, 1, 0, 0))
-        records = depletion_trajectory(ReservoirSpec.finite(bag, seed=0))
-        assert len(records) == 1
-        assert records[0].conditional_probabilities[5] == 1.0
+        populations = depletion_trajectory(ReservoirSpec.finite(bag, seed=0))[0]
+        assert len(populations) == 1
+        assert conditional_probabilities(bag, populations)[0][5] == 1.0
 
     def test_last_survivor_series_is_nondecreasing(self):
         bag = PopulationTable.from_counts((5, 3, 0, 2, 0, 0, 0, 0))
         for seed in range(10):
-            records = depletion_trajectory(ReservoirSpec.finite(bag, seed=seed))
-            survivor = records[-1].population
+            populations = depletion_trajectory(ReservoirSpec.finite(bag, seed=seed))[0]
+            survivor = populations[-1]
             # once every other population is gone, the survivor's conditional
             # probability climbs monotonically to exactly 1
             alone = [
-                r.conditional_probabilities[survivor - 1]
-                for r in records
-                if all(
-                    p == 0.0
-                    for i, p in enumerate(r.conditional_probabilities, start=1)
-                    if i != survivor
-                )
+                row[survivor - 1]
+                for row in conditional_probabilities(bag, populations).tolist()
+                if all(p == 0.0 for i, p in enumerate(row, start=1) if i != survivor)
             ]
             assert alone, "survivor never stood alone"
             assert all(x <= y for x, y in zip(alone, alone[1:]))
@@ -175,8 +180,8 @@ class TestExchangeability:
         n_seeds = 4000
         values = []
         for seed in range(n_seeds):
-            records = sample(ReservoirSpec.finite(bag, seed=seed), step)
-            values.append(records[step - 1].conditional_probabilities[0])
+            populations = sample(ReservoirSpec.finite(bag, seed=seed), step)
+            values.append(conditional_probabilities(bag, populations)[step - 1][0])
         mean = math.fsum(values) / n_seeds
         # pre-draw conditional probabilities at step 4 have bounded spread;
         # 4 sigma of the sample mean with a conservative variance bound
@@ -189,8 +194,8 @@ class TestExchangeability:
         n_seeds = 10_000
         hits = [0] * 8
         for seed in range(n_seeds):
-            records = sample(ReservoirSpec.finite(bag, seed=seed), step)
-            hits[records[step - 1].population - 1] += 1
+            populations = sample(ReservoirSpec.finite(bag, seed=seed), step)
+            hits[populations[step - 1] - 1] += 1
         for i in range(8):
             p = bag.counts[i] / bag.total
             stderr = math.sqrt(p * (1 - p) / n_seeds)
