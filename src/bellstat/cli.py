@@ -12,7 +12,9 @@ counterexample  Random search for a sum-form inequality violator.
 
 Each command is one :class:`Command` entry in :data:`COMMANDS` (help line,
 pipeline, CSV header and CSV rows); the parser, :func:`run` and :func:`emit`
-all read that table.
+all read that table.  Every command takes the same options, and each value
+is checked once: its JSON type by ``_CONVERTERS``, its range by
+:class:`ExperimentConfig`, so a bad flag or config value exits 2 with one line.
 
 A single JSON config file can carry every option; command-line flags
 override file values, which override defaults (seed 42, samples 100000,
@@ -550,12 +552,12 @@ def _load_config_file(ref: str) -> dict:
     try:
         with open(ref, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
+    except OSError as exc:
         raise ValidationError(
-            f"config {ref!r} is neither a file nor a preset "
-            f"(presets: {', '.join(PRESET_NAMES)})"
+            f"config {ref!r} is neither a readable file nor a preset "
+            f"({exc.strerror}; presets: {', '.join(PRESET_NAMES)})"
         ) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, over-long integers
         raise ValidationError(f"config file {ref!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config file {ref!r} must hold a JSON object")
@@ -569,9 +571,6 @@ def _table_from(value: Any) -> PopulationTable:
         value = _parse_list(value, "table", int)
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"table must be a list of 8 counts, got {value!r}")
-    for n in value:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError(f"population counts must be integers, got {n!r}")
     return PopulationTable.from_counts(value)
 
 
@@ -582,7 +581,7 @@ def _omegas_from(value: Any) -> MultiplicityVector:
         value = _parse_list(value, "omegas", float)
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"omegas must be a list of 8 positive reals, got {value!r}")
-    return MultiplicityVector.from_iterable(value)
+    return MultiplicityVector.from_iterable(map(_typed("omegas element", float), value))
 
 
 def _axes_from(value: Any) -> AxisTriple:
@@ -594,17 +593,23 @@ def _axes_from(value: Any) -> AxisTriple:
         v = value[label]
         if not isinstance(v, (list, tuple)) or len(v) != 3:
             raise ValidationError(f"axis {label!r} must be a 3-vector, got {v!r}")
-        return Axis(label, tuple(float(x) for x in v))  # type: ignore[arg-type]
+        component = _typed(f"axis {label!r} component", float)
+        return Axis(label, tuple(map(component, v)))  # type: ignore[arg-type]
     return AxisTriple(axis("a"), axis("b"), axis("c"))
 
 
-def _integer(key: str) -> Callable[[Any], int]:
-    """A converter that passes ints through and rejects anything else (bools,
-    floats, strings) instead of rounding or parsing it."""
-    def convert(value: Any) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"{key} must be an integer, got {value!r}")
-        return value
+def _typed(key: str, kind: type) -> Callable[[Any], Any]:
+    """Accept only the JSON type of a ``kind`` value (an int or a float for
+    float keys).  Bools and every other type are rejected, never coerced."""
+    accepted = (int, float) if kind is float else kind
+    name = {int: "an integer", float: "a number", str: "a string"}[kind]
+    def convert(value: Any) -> Any:
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValidationError(f"{key} must be {name}, got {value!r}")
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ValidationError(f"{key} is too large for a float") from None
     return convert
 
 
@@ -612,15 +617,9 @@ _CONVERTERS = {
     "table": _table_from,
     "omegas": _omegas_from,
     "axes": _axes_from,
-    "axes_spacing_deg": float,
-    "steps": _integer("steps"),
-    "samples": _integer("samples"),
-    "seed": _integer("seed"),
-    "policy": str,
-    "epsilon": float,
-    "mode": str,
-    "format": str,
-    "out": str,
+    **{key: _typed(key, float) for key in ("axes_spacing_deg", "epsilon")},
+    **{key: _typed(key, int) for key in ("steps", "samples", "seed")},
+    **{key: _typed(key, str) for key in ("policy", "mode", "format", "out")},
 }
 
 
@@ -641,39 +640,40 @@ def resolve_config(command: str, config_ref: str | None, overrides: dict[str, An
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
+    # null leaves a key unset only where unset is its default.
     converted = {
-        key: (None if value is None else _CONVERTERS[key](value))
+        key: (None if value is None and _DEFAULTS[key] is None else _CONVERTERS[key](value))
         for key, value in merged.items()
     }
-    try:
-        return ExperimentConfig(command=command, **converted)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from None
+    return ExperimentConfig(command=command, **converted)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: every command takes the same options."""
     parser = argparse.ArgumentParser(
         prog="bellstat",
         description="Population-counting Bell inequality experiments.",
+        epilog="commands:\n" + "\n".join(f"  {n:<16}{c.help}" for n, c in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", metavar="FILE", help="JSON config file or preset name")
-        p.add_argument("--axes-spacing", dest="axes_spacing_deg", type=float, metavar="DEG",
-                       help="coplanar axis spacing in degrees")
-        p.add_argument("--table", metavar="N1,...,N8", help="population counts")
-        p.add_argument("--omegas", metavar="W1,...,W8", help="population multiplicities")
-        p.add_argument("--samples", type=int, metavar="N", help="sample count / search budget")
-        p.add_argument("--seed", type=int, metavar="S", help="64-bit unsigned RNG seed")
-        p.add_argument("--policy", choices=("equal", "proportional"),
-                       help="multiplicity-from-counts policy")
-        p.add_argument("--epsilon", type=float, metavar="E",
-                       help="equal-multiplicity ratio tolerance")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
-        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="echoed in the report's meta; changes nothing else")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", metavar="FILE", help="JSON config file or preset name")
+    parser.add_argument("--axes-spacing", dest="axes_spacing_deg", type=float, metavar="DEG",
+                        help="coplanar axis spacing in degrees")
+    parser.add_argument("--table", metavar="N1,...,N8", help="population counts")
+    parser.add_argument("--omegas", metavar="W1,...,W8", help="population multiplicities")
+    parser.add_argument("--samples", type=int, metavar="N", help="sample count / search "
+                        "budget; quantum exits 2 if one of its 9 axis pairs gets no sample")
+    parser.add_argument("--seed", type=int, metavar="S", help="64-bit unsigned RNG seed")
+    parser.add_argument("--policy", metavar="equal|proportional",
+                        help="multiplicity-from-counts policy")
+    parser.add_argument("--epsilon", type=float, metavar="E",
+                        help="equal-multiplicity ratio tolerance")
+    parser.add_argument("--format", metavar="json|csv", help="output format")
+    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="echoed in the report's meta; changes nothing else")
     return parser
 
 
@@ -695,7 +695,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             with open(config.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"bellstat: cannot write output: {exc}", file=sys.stderr)
         return 3
     return 0

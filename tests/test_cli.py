@@ -1,14 +1,19 @@
 """Tests for the command-line front end, config resolution, and emission."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bellstat import ValidationError
 from bellstat.cli import (
+    COMMANDS,
     CSV_HEADERS,
     RunReport,
     dumps_stable,
@@ -184,6 +189,175 @@ class TestHardening:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"table": [1] * 8, key: value}))
         self.exits_2(capsys, ["exact", "--config", str(path)], f"{key} must be an integer")
+
+    ONES = "1,1,1,1,1,1,1,1"
+    AXES = {"a": [0, 0, 1], "b": [0, 1, 0], "c": [1, 0, 0]}
+
+    @pytest.mark.parametrize(
+        "argv, config, needle",
+        [
+            pytest.param(["quantum"], {"axes": {**AXES, "a": ["x", 0, 0]}},
+                         "axis 'a' component must be a number", id="axis-string"),
+            pytest.param(["entropy", "--omegas", ONES], {"epsilon": True},
+                         "epsilon must be a number", id="epsilon-bool"),
+            pytest.param(["quantum", "--samples", "100"], {"axes_spacing_deg": "60"},
+                         "axes_spacing_deg must be a number", id="spacing-string"),
+            pytest.param(["entropy"], {"omegas": ["x", 1, 1, 1, 1, 1, 1, 1]},
+                         "omegas element must be a number", id="omega-string"),
+            pytest.param(["entropy", "--omegas", ONES], '{"epsilon": 1' + "0" * 400 + "}",
+                         "epsilon is too large", id="epsilon-400-digits"),
+            pytest.param(["entropy"], {"omegas": [True] * 8},
+                         "omegas element must be a number", id="omega-bool"),
+            pytest.param(["entropy"], {"omegas": [[1]] + [1] * 7},
+                         "omegas element must be a number", id="omega-list"),
+            pytest.param(["quantum", "--samples", "100"], {"axes": {**AXES, "c": [True, 0, 0]}},
+                         "axis 'c' component must be a number", id="axis-bool"),
+            pytest.param(["exact", "--table", ONES], {"out": 5},
+                         "out must be a string, got 5", id="out-int"),
+            pytest.param(["exact", "--table", ONES], {"policy": 1},
+                         "policy must be a string, got 1", id="policy-int"),
+            pytest.param(["exact", "--table", ONES], {"epsilon": None},
+                         "epsilon must be a number, got None", id="epsilon-null"),
+            pytest.param(["exact"], '{"table": [1' + "0" * 5000 + ", 1, 1, 1, 1, 1, 1, 1]}",
+                         "is not valid JSON", id="count-5001-digits"),
+            pytest.param(["exact", "--config", "."], None,
+                         "neither a readable file nor a preset", id="config-directory"),
+            pytest.param(["exact", "--table", ONES, "--format", "xml"], None,
+                         "format must be 'json' or 'csv', got 'xml'", id="format-flag"),
+            pytest.param(["entropy", "--omegas", ONES, "--policy", "bogus"], None,
+                         "policy must be 'equal' or 'proportional'", id="policy-flag"),
+        ],
+    )
+    def test_wrongly_typed_values_rejected(
+        self, capsys, tmp_path, monkeypatch, argv, config, needle
+    ):
+        monkeypatch.chdir(tmp_path)  # an ``out`` read as a file name lands here
+        if config is not None:
+            path = tmp_path / "exp.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        self.exits_2(capsys, argv, needle)
+
+    def test_nul_byte_in_out_path_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"table": [1] * 8, "out": "report\0.json"}))
+        assert main(["exact", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write output" in err
+
+    @pytest.mark.parametrize("geometry", [["--axes-spacing", "60"], "explicit axes"])
+    def test_quantum_needs_a_sample_for_every_axis_pair(self, capsys, tmp_path, geometry):
+        """The contract: each of the nine axis pairs gets about 1/9 of
+        ``--samples``, and a pair with none exits 2 rather than report a
+        missing estimate."""
+        if geometry == "explicit axes":
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps({"axes": self.AXES}))
+            geometry = ["--config", str(path)]
+        self.exits_2(capsys, ["quantum", *geometry, "--samples", "1"], "no samples for axis pair")
+
+
+# Strategies for the exit-code contract.  Every count, sample budget and step
+# count stays small (counts <= 50, samples <= 1000, steps <= 100), so that no
+# generated drain, draw or scan costs more than a few MB or milliseconds; huge
+# integers go only to keys where they are out of range, not a long run.
+_WRONG = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4), st.floats(allow_nan=True),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+_HUGE = st.sampled_from([2**64, 10**20, 10**400])
+_COUNT = st.integers(0, 50)
+_COUNTS = st.lists(_COUNT, min_size=8, max_size=8)
+_NUMBER = st.integers(-5, 200) | st.floats(-1e3, 1e3)
+_COMPONENTS = st.lists(_NUMBER | _HUGE | _WRONG, max_size=4)
+# A config every command can run; the generated changes are merged over it.
+_RUNNABLE = st.fixed_dictionaries({
+    "table": _COUNTS,
+    "samples": st.integers(1, 1000),
+    "axes_spacing_deg": st.floats(1, 179),
+    "steps": st.integers(1, 100),
+})
+_CONFIG_VALUES = {
+    "command": st.sampled_from(list(COMMANDS)),
+    "table": _COUNTS | st.lists(_COUNT | _WRONG, max_size=9) | _WRONG,
+    "omegas": st.lists(st.floats(0.01, 100), min_size=8, max_size=8)
+    | st.lists(_NUMBER | _HUGE | _WRONG, max_size=9) | _WRONG,
+    "axes": st.just(TestHardening.AXES)
+    | st.fixed_dictionaries({k: _COMPONENTS for k in "abc"}) | _WRONG,
+    "axes_spacing_deg": st.floats(-10, 200) | _HUGE | _WRONG,
+    "steps": st.integers(-1, 100) | _WRONG,
+    "samples": st.integers(-1, 1000) | _WRONG,
+    "seed": st.integers(-1, 2**64 + 1) | _HUGE | _WRONG,
+    "policy": st.sampled_from(["equal", "proportional", "bogus"]) | _WRONG,
+    "epsilon": st.floats(-1, 1) | _HUGE | _WRONG,
+    "mode": st.sampled_from(["infinite", "finite", "bogus"]) | _WRONG,
+    "format": st.sampled_from(["json", "csv", "xml"]) | _WRONG,
+    "out": st.sampled_from(["report", "missing/report", "nul\0byte"]) | _WRONG,
+    "tables": _WRONG,
+}
+_FLAG_VALUES = {
+    "--table": _COUNTS.map(lambda c: ",".join(map(str, c)))
+    | st.sampled_from(["", "1,2", "x,1,1,1,1,1,1,1", "1.5,1,1,1,1,1,1,1", "-1,1,1,1,1,1,1,1"]),
+    "--omegas": st.lists(st.floats(allow_infinity=True, allow_nan=True), min_size=8, max_size=8)
+    .map(lambda w: ",".join(map(repr, w))) | st.sampled_from(["", "1,x", "0,1,1,1,1,1,1,1"]),
+    "--axes-spacing": st.floats(-10, 200, allow_nan=False).map(repr) | st.just("nan"),
+    "--samples": st.integers(-1, 1000).map(str) | st.sampled_from(["x", "1.5"]),
+    "--seed": st.integers(-1, 2**64 + 1).map(str),
+    "--policy": st.sampled_from(["equal", "proportional", "bogus"]),
+    "--epsilon": st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--out": st.sampled_from(["report", "missing/report"]),
+    "--workers": st.integers(-1, 4).map(str),
+}
+
+
+def _some(values: dict) -> st.SearchStrategy[dict]:
+    """A few of the keys of ``values``, each with a value from its strategy."""
+    keys = st.lists(st.sampled_from(list(values)), max_size=4, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: values[k] for k in ks}))
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=300,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(list(COMMANDS)),
+        command_first=st.booleans(),
+        flags=_some(_FLAG_VALUES),
+        config_ref=st.just("FILE") | st.sampled_from([None, "no-such-preset", ".", *PRESET_NAMES]),
+        config=st.tuples(_RUNNABLE | st.just({}), _some(_CONFIG_VALUES)).map(
+            lambda pair: {**pair[0], **pair[1]}
+        ),
+    )
+    def test_main_exits_0_2_or_3_and_never_raises(
+        self, tmp_path, monkeypatch, command, command_first, flags, config_ref, config
+    ):
+        """Every argv and config file ends in exit 0, or in exit 2/3 with one
+        ``bellstat:`` line; argparse's own exit 2 for a flag it cannot parse
+        comes as ``SystemExit``."""
+        monkeypatch.chdir(tmp_path)  # relative ``out`` names land here
+        if config_ref == "FILE":
+            config_ref = str(tmp_path / "exp.json")
+            (tmp_path / "exp.json").write_text(json.dumps(config))
+        if config_ref is not None:
+            flags["--config"] = config_ref
+        options = [part for flag, value in flags.items() for part in (flag, value)]
+        argv = [command, *options] if command_first else [*options, command]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("bellstat: ")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestRun:
