@@ -42,8 +42,6 @@ print(f"\nsampled P(+a;+b): {est.p_hat:.4f} +- {est.stderr:.4f} "
       f"(prediction 0.375, n = {est.n})")
 
 # Anticorrelation shows up as a hard zero: same axis, same sign never occurs.
-same_sign = sum(
-    c for (a_ax, a_s, b_ax, b_s), c in counts.counts.items()
-    if a_ax == b_ax and a_s == b_s
-)
+# counts.counts is indexed [alice_axis, bob_axis, alice_sign, bob_sign].
+same_sign = sum(int(counts.counts[axis, axis, s, s]) for axis in range(3) for s in range(2))
 print(f"same-axis same-sign events in {counts.n} pairs: {same_sign}")

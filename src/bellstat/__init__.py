@@ -63,7 +63,6 @@ from .reservoir import (
     DivergenceReport,
     EmpiricalEstimate,
     ReservoirSpec,
-    SeedDivergence,
     depletion_trajectory,
     empirical_probability,
     finite_vs_infinite_divergence,

@@ -15,6 +15,8 @@ pipeline, CSV header and CSV rows); the parser, :func:`run` and :func:`emit`
 all read that table.  Every command takes the same options, and each value
 is checked once: its JSON type by ``_CONVERTERS``, its range by
 :class:`ExperimentConfig`, so a bad flag or config value exits 2 with one line.
+Sizes are capped where memory or report rows would run away: ``samples`` at
+:data:`MAX_SAMPLES`, ``steps`` and a drained bag's total at :data:`MAX_ROWS`.
 
 A single JSON config file can carry every option; command-line flags
 override file values, which override defaults (seed 42, samples 100000,
@@ -78,6 +80,12 @@ from .presets import PRESET_NAMES, load_preset
 
 SCHEMA_ID = "bellstat-report/1"
 
+#: Upper bound on ``samples``: a sample budget of this size fits in memory.
+MAX_SAMPLES = 10**8
+
+#: Upper bound on ``steps`` and on a drained bag's total: each is a report row.
+MAX_ROWS = 10**6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -103,8 +111,12 @@ class ExperimentConfig:
         validate_seed(self.seed)
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ValidationError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if self.steps > MAX_ROWS:
+            raise ValidationError(f"steps must be at most {MAX_ROWS}, got {self.steps}")
         if not math.isfinite(self.epsilon):
             raise ValidationError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon < 0:
@@ -367,6 +379,10 @@ COMMANDS["simulate"] = Command(
 def _run_drain(config: ExperimentConfig) -> dict:
     assert config.table is not None
     spec = ReservoirSpec.finite(config.table, config.seed)
+    if config.table.total > MAX_ROWS:
+        raise ValidationError(
+            f"drain takes a bag of at most {MAX_ROWS} pairs, got {config.table.total}"
+        )
     populations, counts = depletion_trajectory(spec)
     before = counts[:-1]
     probabilities = (before / before.sum(axis=1, keepdims=True)).tolist()
@@ -498,8 +514,6 @@ COMMANDS["counterexample"] = Command(
         [True, *results["omegas"], *(results["report"][k] for k in ("lhs", "rhs", "margin"))]
     ] if results["found"] else [],
 )
-
-CSV_HEADERS = {name: command.csv_header for name, command in COMMANDS.items()}
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
@@ -664,7 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--table", metavar="N1,...,N8", help="population counts")
     parser.add_argument("--omegas", metavar="W1,...,W8", help="population multiplicities")
     parser.add_argument("--samples", type=int, metavar="N", help="sample count / search "
-                        "budget; quantum exits 2 if one of its 9 axis pairs gets no sample")
+                        f"budget, 1 to {MAX_SAMPLES}; quantum exits 2 if one of its 9 axis "
+                        "pairs gets no sample")
     parser.add_argument("--seed", type=int, metavar="S", help="64-bit unsigned RNG seed")
     parser.add_argument("--policy", metavar="equal|proportional",
                         help="multiplicity-from-counts policy")

@@ -148,7 +148,12 @@ class MultiplicityVector:
 
     @classmethod
     def from_iterable(cls, omegas: Iterable[float]) -> "MultiplicityVector":
-        return cls(tuple(float(w) for w in omegas))  # type: ignore[arg-type]
+        try:
+            return cls(tuple(float(w) for w in omegas))  # type: ignore[arg-type]
+        except OverflowError:
+            raise ValidationError(
+                "multiplicities must be finite, got one too large for a float"
+            ) from None
 
     @classmethod
     def from_counts(

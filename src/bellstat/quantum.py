@@ -16,6 +16,11 @@ brute-force oracle (:func:`singlet_prediction_statevector`) that builds the
 explicit 4-component singlet state and evaluates projector expectation
 values, and the test suite holds the two within 1e-12 across the full angle
 range.
+
+The Monte Carlo sampler (:func:`singlet_sample`) keeps its tallies as one
+``(3, 3, 2, 2)`` count array, axis pair by sign pair, and its estimates use
+the same binomial estimator as the reservoir's,
+:meth:`~bellstat.reservoir.EmpiricalEstimate.from_hits`.
 """
 
 from __future__ import annotations
@@ -39,7 +44,13 @@ from .populations import (
 from .reservoir import EmpiricalEstimate
 from .rng import stream
 
-AxisChoicePolicy = Literal["uniform", "round-robin"] | tuple[AxisLabel, AxisLabel]
+AxisChoicePolicy = Literal["uniform"] | tuple[AxisLabel, AxisLabel]
+
+#: Sign order along the last two axes of ``SingletSampleCounts.counts``.
+_SIGNS = (+1, -1)
+
+#: Rows per block when tallying axis pairs, bounding the pair-index temporary.
+_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -142,20 +153,17 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> tuple[ScanPoint, ...]
 class SingletSampleCounts:
     """Empirical joint counts from a singlet sampler run.
 
-    ``counts`` maps (alice_axis, alice_sign, bob_axis, bob_sign) to the
-    number of pairs with that result; only nonzero cells are stored.
+    ``counts`` is a ``(3, 3, 2, 2)`` int64 array indexed
+    ``[alice_axis, bob_axis, alice_sign, bob_sign]``: axes in a, b, c order,
+    signs with +1 first.
     """
 
-    counts: dict[tuple[AxisLabel, int, AxisLabel, int], int]
+    counts: np.ndarray
     n: int
     seed: int
 
     def axis_pair_count(self, alice_axis: AxisLabel, bob_axis: AxisLabel) -> int:
-        return sum(
-            c
-            for (a_ax, _, b_ax, _), c in self.counts.items()
-            if a_ax == alice_axis and b_ax == bob_axis
-        )
+        return int(self.counts[AXIS_LABELS.index(alice_axis), AXIS_LABELS.index(bob_axis)].sum())
 
     def estimate(self, outcome: PairOutcome) -> EmpiricalEstimate:
         """Empirical probability of ``outcome`` conditional on its axis pair."""
@@ -164,24 +172,17 @@ class SingletSampleCounts:
             raise ValidationError(
                 f"no samples for axis pair ({outcome.alice_axis}, {outcome.bob_axis})"
             )
-        hits = self.counts.get(
-            (outcome.alice_axis, outcome.alice_sign, outcome.bob_axis, outcome.bob_sign), 0
-        )
-        p_hat = hits / n_pair
-        return EmpiricalEstimate(
-            outcome=outcome,
-            p_hat=p_hat,
-            stderr=math.sqrt(p_hat * (1.0 - p_hat) / n_pair),
-            n=n_pair,
-        )
+        hits = self.counts[
+            AXIS_LABELS.index(outcome.alice_axis),
+            AXIS_LABELS.index(outcome.bob_axis),
+            _SIGNS.index(outcome.alice_sign),
+            _SIGNS.index(outcome.bob_sign),
+        ]
+        return EmpiricalEstimate.from_hits(outcome, int(hits), n_pair)
 
     def alice_sign_marginal(self) -> float:
         """Fraction of all pairs where Alice measured +1."""
-        plus = sum(c for (_, a_sign, _, _), c in self.counts.items() if a_sign == +1)
-        return plus / self.n
-
-
-_SIGN_PAIRS: tuple[tuple[int, int], ...] = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+        return int(self.counts[:, :, 0].sum()) / self.n
 
 
 def singlet_sample(
@@ -193,10 +194,10 @@ def singlet_sample(
     """Sample ``n`` singlet pairs, choosing axes per ``policy``.
 
     Policies: ``"uniform"`` draws Alice's and Bob's axes independently and
-    uniformly from {a, b, c}; ``"round-robin"`` cycles through the nine
-    ordered axis pairs; a tuple ``(alice_axis, bob_axis)`` fixes the pair.
-    Joint signs are then drawn from :func:`singlet_prediction` for the chosen
-    axes.  Deterministic given ``seed``.
+    uniformly from {a, b, c}; a tuple ``(alice_axis, bob_axis)`` fixes the
+    pair.  The pairs drawn for each of the nine axis pairs, in a-b-c order
+    with Alice's axis first, then get their joint signs from
+    :func:`singlet_prediction` for those axes.  Deterministic given ``seed``.
     """
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n!r}")
@@ -204,33 +205,28 @@ def singlet_sample(
 
     if policy == "uniform":
         choices = rng.integers(0, 3, size=(n, 2))
-        alice_idx, bob_idx = choices[:, 0], choices[:, 1]
-    elif policy == "round-robin":
-        pairs = np.arange(n) % 9
-        alice_idx, bob_idx = pairs // 3, pairs % 3
+        per_pair = sum(  # pair index 3 * alice + bob, one block of rows at a time
+            np.bincount(3 * block[:, 0] + block[:, 1], minlength=9)
+            for block in np.split(choices, range(_BLOCK, n, _BLOCK))
+        )
     elif (
         isinstance(policy, tuple)
         and len(policy) == 2
         and all(ax in AXIS_LABELS for ax in policy)
     ):
-        alice_idx = np.full(n, AXIS_LABELS.index(policy[0]))
-        bob_idx = np.full(n, AXIS_LABELS.index(policy[1]))
+        per_pair = np.zeros(9, dtype=np.int64)
+        per_pair[3 * AXIS_LABELS.index(policy[0]) + AXIS_LABELS.index(policy[1])] = n
     else:
         raise ValidationError(f"unknown axis choice policy {policy!r}")
 
-    counts: dict[tuple[AxisLabel, int, AxisLabel, int], int] = {}
-    for a_i, alice_axis in enumerate(AXIS_LABELS):
-        for b_i, bob_axis in enumerate(AXIS_LABELS):
-            mask = (alice_idx == a_i) & (bob_idx == b_i)
-            m = int(np.count_nonzero(mask))
-            if m == 0:
-                continue
-            prediction = singlet_prediction(axes.axis(alice_axis), axes.axis(bob_axis))
-            thresholds = np.cumsum(prediction.as_tuple())
-            thresholds[-1] = 1.0
-            cells = np.searchsorted(thresholds, rng.random(m), side="right")
-            for cell, count in zip(*np.unique(cells, return_counts=True)):
-                s1, s2 = _SIGN_PAIRS[int(cell)]
-                key = (alice_axis, s1, bob_axis, s2)
-                counts[key] = counts.get(key, 0) + int(count)
-    return SingletSampleCounts(counts=counts, n=n, seed=seed)
+    counts = np.zeros((9, 4), dtype=np.int64)
+    for pair, m in enumerate(per_pair.tolist()):
+        if m == 0:
+            continue
+        alice_axis, bob_axis = AXIS_LABELS[pair // 3], AXIS_LABELS[pair % 3]
+        prediction = singlet_prediction(axes.axis(alice_axis), axes.axis(bob_axis))
+        thresholds = np.cumsum(prediction.as_tuple())
+        thresholds[-1] = 1.0
+        cells = np.searchsorted(thresholds, rng.random(m), side="right")
+        counts[pair] = np.bincount(cells, minlength=4)
+    return SingletSampleCounts(counts=counts.reshape(3, 3, 2, 2), n=n, seed=seed)

@@ -12,7 +12,9 @@ Two source models:
 A sample is one column: the population (1-8) of each draw, in step order.
 For a finite bag, :func:`remaining_counts` rebuilds the counts around every
 draw from that column; the conditional probabilities are its rows over their
-sums.
+sums.  A divergence report holds two arrays with one row per seed and one
+column per step.  Every empirical probability, here and in the quantum
+sampler, is the binomial estimate of :meth:`EmpiricalEstimate.from_hits`.
 
 Reproducibility contract: draws come from numpy's Philox generator, a
 counter-based RNG with a documented algorithm.  The stream for chunk ``c`` of
@@ -85,9 +87,12 @@ class EmpiricalEstimate:
     stderr: float
     n: int
 
-
-def _conditional_tuple(counts: Sequence[int], total: int) -> tuple[float, ...]:
-    return tuple(c / total for c in counts)
+    @classmethod
+    def from_hits(cls, outcome: PairOutcome, hits: int, n: int) -> "EmpiricalEstimate":
+        """The binomial estimate ``hits / n`` with standard error
+        ``sqrt(p_hat (1 - p_hat) / n)``."""
+        p_hat = hits / n
+        return cls(outcome=outcome, p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / n), n=n)
 
 
 def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
@@ -155,13 +160,7 @@ def empirical_probability(
         raise ValidationError("cannot estimate from an empty draw list")
     per_population = np.bincount(draws, minlength=9)
     hits = int(per_population[list(outcome_populations(outcome))].sum())
-    p_hat = hits / n
-    return EmpiricalEstimate(
-        outcome=outcome,
-        p_hat=p_hat,
-        stderr=math.sqrt(p_hat * (1.0 - p_hat) / n),
-        n=n,
-    )
+    return EmpiricalEstimate.from_hits(outcome, hits, n)
 
 
 def depletion_trajectory(spec: ReservoirSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -179,49 +178,36 @@ def depletion_trajectory(spec: ReservoirSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SeedDivergence:
-    """Per-seed deviation series of a finite drain from the infinite source."""
-
-    seed: int
-    deviations: tuple[float, ...]
-    l1_deviations: tuple[float, ...]
-
-    @property
-    def max_abs_deviation(self) -> float:
-        return max(self.deviations)
-
-    @property
-    def max_l1_deviation(self) -> float:
-        return max(self.l1_deviations)
-
-
-@dataclass(frozen=True)
 class DivergenceReport:
     """How far finite-mode conditional probabilities drift from infinite mode.
 
-    ``deviations`` tracks |P_finite(outcome) - P_infinite(outcome)| per step;
-    ``l1_deviations`` tracks the L1 distance between the full 8-population
-    conditional distributions, which reaches 1 when half the populations of a
-    uniform bag are exhausted and tops out as the bag empties.
+    Row ``i`` of each ``(len(seeds), n)`` array is the drain of ``seeds[i]``,
+    column ``k`` the bag before draw ``k + 1``.  ``deviations`` tracks
+    |P_finite(outcome) - P_infinite(outcome)|; ``l1_deviations`` tracks the
+    L1 distance between the full 8-population conditional distributions,
+    which reaches 1 when half the populations of a uniform bag are exhausted
+    and tops out as the bag empties.
     """
 
     bag: PopulationTable
     n: int
     outcome: PairOutcome
     infinite_probability: float
-    per_seed: tuple[SeedDivergence, ...]
+    seeds: tuple[int, ...]
+    deviations: np.ndarray
+    l1_deviations: np.ndarray
 
     @property
     def max_abs_deviation(self) -> float:
-        return max(s.max_abs_deviation for s in self.per_seed)
+        return float(self.deviations.max())
 
     @property
     def mean_max_abs_deviation(self) -> float:
-        return math.fsum(s.max_abs_deviation for s in self.per_seed) / len(self.per_seed)
+        return math.fsum(self.deviations.max(axis=1).tolist()) / len(self.seeds)
 
     @property
     def max_l1_deviation(self) -> float:
-        return max(s.max_l1_deviation for s in self.per_seed)
+        return float(self.l1_deviations.max())
 
 
 def finite_vs_infinite_divergence(
@@ -240,35 +226,31 @@ def finite_vs_infinite_divergence(
         raise ValidationError("at least one seed is required")
     if outcome is None:
         outcome = PairOutcome("a", +1, "b", +1)
-    contributing = sorted(outcome_populations(outcome))
+    contributing = [i - 1 for i in outcome_populations(outcome)]
     total = bag.total
     if total < 1:
         raise ValidationError("bag must contain at least one pair")
     if n > total:
         raise ValidationError(f"cannot draw {n} pairs from a bag of {total}")
-    infinite_probs = _conditional_tuple(bag.counts, total)
-    p_inf = math.fsum(infinite_probs[i - 1] for i in contributing)
+    infinite_probs = np.array([c / total for c in bag.counts])
+    p_inf = math.fsum(infinite_probs[contributing].tolist())
 
-    def run(seed: int) -> SeedDivergence:
+    deviations = np.empty((len(seeds), n))
+    l1_deviations = np.empty((len(seeds), n))
+    for row, seed in enumerate(seeds):
         populations = sample(ReservoirSpec.finite(bag, seed), n)
-        devs = []
-        l1s = []
-        for before in remaining_counts(bag, populations)[:-1].tolist():
-            probs = _conditional_tuple(before, sum(before))
-            p_fin = math.fsum(probs[i - 1] for i in contributing)
-            devs.append(abs(p_fin - p_inf))
-            l1s.append(
-                math.fsum(
-                    abs(p - q)
-                    for p, q in zip(probs, infinite_probs)
-                )
-            )
-        return SeedDivergence(seed=seed, deviations=tuple(devs), l1_deviations=tuple(l1s))
+        # Python-int division, correctly rounded for counts above 2**53 too.
+        before = remaining_counts(bag, populations)[:-1].astype(object)
+        probs = (before / before.sum(axis=1, keepdims=True)).astype(float)
+        deviations[row] = [abs(math.fsum(p) - p_inf) for p in probs[:, contributing].tolist()]
+        l1_deviations[row] = [math.fsum(d) for d in np.abs(probs - infinite_probs).tolist()]
 
     return DivergenceReport(
         bag=bag,
         n=n,
         outcome=outcome,
         infinite_probability=p_inf,
-        per_seed=tuple(run(s) for s in seeds),
+        seeds=tuple(seeds),
+        deviations=deviations,
+        l1_deviations=l1_deviations,
     )

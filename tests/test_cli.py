@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from bellstat import ValidationError
 from bellstat.cli import (
     COMMANDS,
-    CSV_HEADERS,
+    MAX_ROWS,
+    MAX_SAMPLES,
     RunReport,
     dumps_stable,
     emit,
@@ -182,6 +183,40 @@ class TestHardening:
     def test_overflowing_multiplicities_rejected(self, capsys):
         argv = ["entropy", "--omegas", "1e308,1e308,1e308,1e308,1,1,1,1"]
         self.exits_2(capsys, argv, "must be finite")
+
+    def test_proportional_count_too_large_for_a_float_rejected(self, capsys):
+        count = "1" + "0" * 400
+        argv = ["entropy", "--table", f"{count},1,1,1,1,1,1,1", "--policy", "proportional"]
+        self.exits_2(capsys, argv, "too large for a float")
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            pytest.param(["quantum", "--axes-spacing", "60", "--samples", "1" + "0" * 20],
+                         f"samples must be at most {MAX_SAMPLES}", id="quantum-samples"),
+            pytest.param(["simulate", "--table", "1,1,1,1,1,1,1,1", "--samples", "1" + "0" * 20],
+                         f"samples must be at most {MAX_SAMPLES}", id="simulate-samples"),
+            pytest.param(["counterexample", "--samples", str(MAX_SAMPLES + 1)],
+                         f"samples must be at most {MAX_SAMPLES}", id="counterexample-budget"),
+            pytest.param(["drain", "--table", "100000000000,0,0,0,0,0,0,0"],
+                         f"bag of at most {MAX_ROWS} pairs", id="drain-total"),
+            pytest.param(["drain", "--table", f"{MAX_ROWS},1,0,0,0,0,0,0"],
+                         f"bag of at most {MAX_ROWS} pairs", id="drain-total-one-over"),
+        ],
+    )
+    def test_sample_and_row_limits(self, capsys, argv, needle):
+        self.exits_2(capsys, argv, needle)
+
+    def test_steps_limit(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"axes_spacing_deg": 60, "steps": MAX_ROWS + 1}))
+        argv = ["quantum", "--config", str(path)]
+        self.exits_2(capsys, argv, f"steps must be at most {MAX_ROWS}")
+
+    def test_limits_are_inclusive(self):
+        overrides = {"axes_spacing_deg": 60.0, "samples": MAX_SAMPLES, "steps": MAX_ROWS}
+        config = resolve_config("quantum", None, overrides)
+        assert (config.samples, config.steps) == (MAX_SAMPLES, MAX_ROWS)
 
     @pytest.mark.parametrize("value", [1.7, True, "5"])
     @pytest.mark.parametrize("key", ["samples", "steps", "seed"])
@@ -444,14 +479,14 @@ CSV_ROW_CASES = {
 
 
 class TestEmission:
-    @pytest.mark.parametrize("command", CSV_HEADERS)
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_every_csv_row_fills_the_header(self, command):
         config = resolve_config(command, None, CSV_ROW_CASES[command])
         header, *rows = emit(run(config), "csv").splitlines()
-        assert header.split(",") == list(CSV_HEADERS[command])
+        assert header.split(",") == list(COMMANDS[command].csv_header)
         assert rows
         for row in rows:
-            assert len(row.split(",")) == len(CSV_HEADERS[command])
+            assert len(row.split(",")) == len(COMMANDS[command].csv_header)
 
     def test_json_round_trip_is_byte_identical(self):
         config = resolve_config(
@@ -475,7 +510,7 @@ class TestEmission:
             meta={},
         )
         text = emit(report, "csv")
-        assert text == ",".join(CSV_HEADERS["drain"]) + "\n"
+        assert text == ",".join(COMMANDS["drain"].csv_header) + "\n"
 
     def test_quantum_scan_csv_rows(self, tmp_path):
         path = tmp_path / "scan.json"
@@ -492,7 +527,7 @@ class TestEmission:
     def test_missed_search_gives_header_only_csv(self):
         config = resolve_config("counterexample", None, {"samples": 1, "seed": 0})
         text = emit(run(config), "csv")
-        assert text == ",".join(CSV_HEADERS["counterexample"]) + "\n"
+        assert text == ",".join(COMMANDS["counterexample"].csv_header) + "\n"
 
 
 class TestPresets:

@@ -242,6 +242,11 @@ class TestMultiplicityVector:
         with pytest.raises(ValidationError, match="finite"):
             MultiplicityVector.from_iterable([math.inf] + [1.0] * 7)
 
+    def test_count_too_large_for_a_float_rejected(self):
+        table = PopulationTable.from_counts([10**400] + [1] * 7)
+        with pytest.raises(ValidationError, match="too large for a float"):
+            MultiplicityVector.from_counts(table, policy="proportional")
+
 
 class TestMultiplicityInequality:
     def test_equal_vector_holds(self):

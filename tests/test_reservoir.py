@@ -1,5 +1,6 @@
 """Tests for reservoir sampling: determinism, depletion, and divergence."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -237,9 +238,9 @@ class TestDivergence:
     def test_uniform_bag_l1_reaches_one_and_tops_out(self):
         bag = PopulationTable.uniform()
         report = finite_vs_infinite_divergence(bag, 8, seeds=range(6))
-        for per_seed in report.per_seed:
-            assert any(l1 == 1.0 for l1 in per_seed.l1_deviations)
-            assert per_seed.max_l1_deviation == 1.75
+        for l1_deviations in report.l1_deviations:
+            assert any(l1 == 1.0 for l1 in l1_deviations)
+            assert l1_deviations.max() == 1.75
         # the outcome-probability channel is bounded by 1 - 2/8
         assert report.max_abs_deviation <= 0.75 + 1e-12
 
@@ -252,6 +253,40 @@ class TestDivergence:
             report = finite_vs_infinite_divergence(bag, n, seeds=seeds)
             means.append(report.mean_max_abs_deviation)
         assert means[0] > means[1] > means[2]
+
+    # bag counts, n, outcome -> sha256 of deviations, of l1_deviations (float64
+    # bytes over seeds 0, 5, 2**64 - 1), taken from the tuple-per-step series
+    # the arrays replaced.  The last bag's counts are above 2**53: int / int
+    # keeps every step's conditional probabilities equal to the infinite ones
+    # (all deviations 0.0), where float64 division of the counts would not.
+    PINNED = [
+        ((25, 25, 25, 25, 0, 0, 0, 0), 100, PairOutcome("a", +1, "b", +1),
+         "c7fce24a93cf7b96fa6b0b61117aa881028350bd4a18fb90daed3456c6718eab",
+         "2dc16c2ab1458b6b653e760d6f082c449ff614208f14a02369d66c111eae5cf9"),
+        ((2, 3, 4, 5, 0, 0, 1, 1), 16, PairOutcome("a", +1, "c", -1),
+         "2cf2cccf748f1e497345d9826b21ec8f82f921cfc9d38b340bcc8b099b40ad4f",
+         "bd9ab982d34e578e4ee8603b8ae65df8f7d62dcac97fa48faedd81952c8e792f"),
+        ((7, 1, 0, 3, 9, 2, 5, 4), 20, PairOutcome("c", -1, "b", +1),
+         "5d32aac74463442a78da6b8b57df5d5a5480de4bcf55d6186db272868b154d36",
+         "b7e8c90128a57961f891bf6bcf60817fb0d95dc38a330d332dbfa99a157e7113"),
+        ((176961584537534074, 2, 1, 87449461664771527, 2, 1, 233364146943938912, 0), 6,
+         PairOutcome("a", +1, "b", +1),
+         "81c611f35bff79491538b2f7cf201c7597a661a5c549633541c62bdc8af1613f",
+         "81c611f35bff79491538b2f7cf201c7597a661a5c549633541c62bdc8af1613f"),
+    ]
+
+    @pytest.mark.parametrize(
+        "counts, n, outcome, deviations, l1_deviations", PINNED,
+        ids=["four-colors", "sparse", "mixed", "above-2-53"],
+    )
+    def test_series_match_pinned_digests(self, counts, n, outcome, deviations, l1_deviations):
+        bag = PopulationTable.from_counts(counts)
+        report = finite_vs_infinite_divergence(bag, n, seeds=[0, 5, 2**64 - 1], outcome=outcome)
+        assert report.seeds == (0, 5, 2**64 - 1)
+        for series, digest in ((report.deviations, deviations),
+                               (report.l1_deviations, l1_deviations)):
+            assert series.shape == (3, n) and series.dtype == np.float64
+            assert hashlib.sha256(series.tobytes()).hexdigest() == digest
 
     def test_overdraw_rejected(self):
         with pytest.raises(ValidationError):
