@@ -27,7 +27,8 @@ Reports have a stable top-level schema ``{config, results, meta}``
 (schema id bellstat-report/1).  Identical configs yield byte-identical
 ``config`` and ``results`` sections regardless of ``--workers``; wall-clock
 duration and worker count live in ``meta`` only.  Floats are emitted with 17
-significant digits, so emit -> parse -> emit is byte-identical.
+significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
+:func:`dumps_stable`, fills a cached template per dict shape, rows column by column.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -41,7 +42,8 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,32 +176,58 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_stable(obj: Any, indent: int = 0) -> str:
-    pad = "  " * indent
+#: JSON text of each scalar type, by exact type (subclasses: see dumps_stable).
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: repr,
+    float: _format_float,
+    str: json.dumps,
+}
+
+
+@lru_cache(maxsize=256)
+def _template(keys: tuple[str, ...], indent: int) -> str:
+    """A dict with these sorted keys at ``indent``, one ``%s`` per value."""
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return repr(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
+    items = ",\n".join(inner + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    return "{\n" + items + "\n" + "  " * indent + "}"
+
+
+def _texts(values: Sequence[Any], indent: int) -> list[str]:
+    """JSON texts of ``values`` at ``indent``, in one pass when all share a scalar type."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return ("%.17g\0" * len(values) % tuple(values)).split("\0")[:-1]
+    to_text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(to_text, values)) if to_text else [dumps_stable(v, indent) for v in values]
+
+
+def _rows(rows: Sequence[dict], indent: int) -> Iterator[str]:
+    """Same-keyed dicts at ``indent`` through one template, filled column by
+    column in blocks of 1024 rows so that one block of value texts is alive."""
+    keys = sorted(rows[0])
+    fill = _template(tuple(map(str, keys)), indent).__mod__
+    for i in range(0, len(rows), 1024):
+        columns = [_texts([row[k] for row in rows[i:i + 1024]], indent + 1) for k in keys]
+        yield from map(fill, zip(*columns))
+
+
+def dumps_stable(obj: Any, indent: int = 0) -> str:
+    if (to_text := _SCALARS.get(type(obj))) is not None:
+        return to_text(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps_stable(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+        inner = "  " * (indent + 1)
+        rows = all(isinstance(row, dict) and row and row.keys() == obj[0].keys() for row in obj)
+        items = _rows(obj, indent + 1) if rows else _texts(obj, indent + 1)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + "  " * indent + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k), ensure_ascii=True)}: {dumps_stable(v, indent + 1)}"
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return next(_rows([obj], indent)) if obj else "{}"
+    for kind in (int, float, str):  # subclasses: np.float64 formats as a float
+        if isinstance(obj, kind):
+            return _SCALARS[kind](obj)
     raise ValidationError(f"cannot serialize {type(obj).__name__} value {obj!r}")
 
 
@@ -423,7 +451,8 @@ def _run_quantum(config: ExperimentConfig) -> dict:
     if config.axes is not None:
         axes = config.axes
         theta = axes.angle("a", "c")
-        scan = [(math.degrees(theta), wigner_point(axes, theta))]
+        point = wigner_point(axes.a.direction, axes.b.direction, axes.c.direction, theta)
+        scan = [(math.degrees(theta), point)]
     else:
         assert config.axes_spacing_deg is not None
         spacing = math.radians(config.axes_spacing_deg)

@@ -66,8 +66,13 @@ class Axis:
 
 def angle_between(u: Axis, v: Axis) -> float:
     """Angle in [0, pi] between two axes, accurate near 0 and pi."""
-    ux, uy, uz = u.direction
-    vx, vy, vz = v.direction
+    return direction_angle(u.direction, v.direction)
+
+
+def direction_angle(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
+    """:func:`angle_between` for two unit direction tuples."""
+    ux, uy, uz = u
+    vx, vy, vz = v
     dot = ux * vx + uy * vy + uz * vz
     cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), dot)
@@ -88,20 +93,10 @@ class AxisTriple:
 
     @classmethod
     def coplanar(cls, spacing: float) -> "AxisTriple":
-        """Coplanar triple with a-c and c-b angles both ``spacing`` (radians).
-
-        a points along z, c at angle ``spacing`` from a, b at ``2 * spacing``,
-        all in the x-z plane.  This is the symmetric configuration used for
-        inequality scans.
-        """
-        def at(theta: float) -> tuple[float, float, float]:
-            return (math.sin(theta), 0.0, math.cos(theta))
-
-        return cls(
-            a=Axis("a", at(0.0)),
-            b=Axis("b", at(2.0 * spacing)),
-            c=Axis("c", at(spacing)),
-        )
+        """Coplanar triple with a-c and c-b angles both ``spacing`` (radians), the
+        symmetric configuration of inequality scans: see :func:`coplanar_directions`."""
+        a, b, c = coplanar_directions(spacing)
+        return cls(a=Axis("a", a), b=Axis("b", b), c=Axis("c", c))
 
     def axis(self, label: AxisLabel) -> Axis:
         if label not in AXIS_LABELS:
@@ -110,6 +105,12 @@ class AxisTriple:
 
     def angle(self, label1: AxisLabel, label2: AxisLabel) -> float:
         return angle_between(self.axis(label1), self.axis(label2))
+
+
+def coplanar_directions(spacing: float) -> tuple[tuple[float, float, float], ...]:
+    """Directions (sin t, 0, cos t) of a, b, c at t = 0, ``2 * spacing``, ``spacing``."""
+    b, c = 2.0 * spacing, spacing
+    return (0.0, 0.0, 1.0), (math.sin(b), 0.0, math.cos(b)), (math.sin(c), 0.0, math.cos(c))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ spacing theta anywhere in 0 < theta < pi/2.  No population table can
 reproduce those numbers, since every table satisfies the inequality with
 margin (N_2 + N_7) / total >= 0.
 
-The closed form above is never trusted bare: this module also carries a
-brute-force oracle (:func:`singlet_prediction_statevector`) that builds the
-explicit 4-component singlet state and evaluates projector expectation
-values, and the test suite holds the two within 1e-12 across the full angle
-range.
+One float kernel, on plain direction tuples and with ``math`` only (numpy's
+ufuncs can differ from libm in the last bit), serves :func:`singlet_prediction`,
+:func:`wigner_point` and every scan step.  A brute-force oracle,
+:func:`singlet_prediction_statevector`, evaluates projector expectation values
+on the explicit 4-component singlet state; the tests hold the two within 1e-12.
 
 The Monte Carlo sampler (:func:`singlet_sample`) keeps its tallies as one
 ``(3, 3, 2, 2)`` count array, axis pair by sign pair, and its estimates use
@@ -39,7 +39,8 @@ from .populations import (
     AxisLabel,
     AxisTriple,
     PairOutcome,
-    angle_between,
+    coplanar_directions,
+    direction_angle,
 )
 from .reservoir import EmpiricalEstimate
 from .rng import stream
@@ -74,11 +75,15 @@ class SingletPrediction:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
 
+def _singlet(u: Sequence[float], v: Sequence[float]) -> tuple[float, float]:
+    """The float kernel: (P(+u;+v), P(+u;-v)) for unit direction tuples u, v."""
+    theta = direction_angle(u, v)
+    return 0.5 * math.sin(theta / 2.0) ** 2, 0.5 * math.cos(theta / 2.0) ** 2
+
+
 def singlet_prediction(axis1: Axis, axis2: Axis) -> SingletPrediction:
     """Singlet joint probabilities for Alice along axis1, Bob along axis2."""
-    theta = angle_between(axis1, axis2)
-    same = 0.5 * math.sin(theta / 2.0) ** 2
-    diff = 0.5 * math.cos(theta / 2.0) ** 2
+    same, diff = _singlet(axis1.direction, axis2.direction)
     return SingletPrediction(p_pp=same, p_pm=diff, p_mp=diff, p_mm=same)
 
 
@@ -123,30 +128,32 @@ class ScanPoint:
     violated: bool
 
 
-def wigner_point(axes: AxisTriple, theta: float) -> ScanPoint:
+def wigner_point(
+    a: Sequence[float], b: Sequence[float], c: Sequence[float], theta: float
+) -> ScanPoint:
     """Wigner check P(+a;+b) <= P(+a;+c) + P(+c;+b) on singlet predictions
-    for one axis triple, labelled with the a-c angle ``theta``.  Violation is
-    flagged where lhs > rhs + 1e-12."""
-    lhs = singlet_prediction(axes.a, axes.b).p_pp
-    rhs = singlet_prediction(axes.a, axes.c).p_pp + singlet_prediction(axes.c, axes.b).p_pp
+    for the unit directions of axes a, b, c, labelled with the a-c angle
+    ``theta``.  Violation is flagged where lhs > rhs + 1e-12."""
+    lhs = _singlet(a, b)[0]
+    rhs = _singlet(a, c)[0] + _singlet(c, b)[0]
     return ScanPoint(theta=theta, lhs=lhs, rhs=rhs, violated=lhs > rhs + TOL)
 
 
 def quantum_wigner_scan(spacing: float, steps: int = 1) -> tuple[ScanPoint, ...]:
     """Scan the Wigner inequality on singlet predictions over coplanar axes.
 
-    Evaluates :func:`wigner_point` at ``steps`` equally spaced angles
-    spacing/steps, 2*spacing/steps, ..., spacing.  At each angle theta the
-    axes are coplanar with a-c and c-b angles theta (a-b angle 2*theta),
-    giving lhs = (1/2) sin^2(theta) and rhs = sin^2(theta/2), so a violation
-    is flagged exactly where 0 < theta < pi/2.
+    Evaluates :func:`wigner_point` at theta = spacing/steps, ..., spacing on
+    coplanar axes with a-c and c-b angles theta (a-b angle 2*theta), giving
+    lhs = (1/2) sin^2(theta) and rhs = sin^2(theta/2): a violation is flagged
+    where 0 < theta < pi/2, except below theta ~ 2e-6, where the margin
+    lhs - rhs ~ theta^2 / 4 is under the 1e-12 tolerance.
     """
     if not 0.0 < spacing < math.pi:
         raise ValidationError(f"spacing must be in (0, pi), got {spacing!r}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps!r}")
     thetas = (float(spacing) * k / steps for k in range(1, steps + 1))
-    return tuple(wigner_point(AxisTriple.coplanar(theta), theta) for theta in thetas)
+    return tuple(wigner_point(*coplanar_directions(theta), theta) for theta in thetas)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .errors import ValidationError
 from .populations import PairOutcome, PopulationTable, outcome_populations
 from .rng import stream, validate_seed
 
-#: Draws per independent Philox sub-stream in infinite mode.
+#: Draws per Philox sub-stream in infinite mode, and per ``integers`` call in finite mode.
 CHUNK_SIZE = 65536
 
 #: Composition totals must stay below this: draws are int64 Philox integers.
@@ -122,21 +122,24 @@ def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
             parts.append(np.searchsorted(thresholds, draws, side="right") + 1)
         return np.concatenate(parts)
 
-    # finite mode: draw k is uniform below the total left before it (one
-    # broadcast call gives the same integers as n sequential scalar calls),
-    # and u < sum(current) stops the scan within the 8 counts.
+    # finite mode: draw k is uniform below the total left before it (one call
+    # per chunk of bounds gives the same integers as one call over all n, with
+    # only a chunk of Python ints alive), and u < sum(current) stops the scan.
     if n > total:
         raise ValidationError(f"cannot draw {n} pairs from a bag of {total}")
-    current = list(counts)
-    populations = []
-    for u in stream(spec.seed).integers(0, np.arange(total, total - n, -1)).tolist():
-        i = 0
-        while u >= current[i]:
-            u -= current[i]
-            i += 1
-        current[i] -= 1
-        populations.append(i + 1)
-    return np.array(populations, dtype=np.int64)
+    rng, current = stream(spec.seed), list(counts)
+    populations = np.empty(n, dtype=np.int64)
+    for start in range(0, n, CHUNK_SIZE):
+        stop, chunk = min(start + CHUNK_SIZE, n), []
+        for u in rng.integers(0, np.arange(total - start, total - stop, -1)).tolist():
+            i = 0
+            while u >= current[i]:
+                u -= current[i]
+                i += 1
+            current[i] -= 1
+            chunk.append(i + 1)
+        populations[start:stop] = chunk
+    return populations
 
 
 def remaining_counts(bag: PopulationTable, populations: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Tests for the command-line front end, config resolution, and emission."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from bellstat.cli import (
     COMMANDS,
     MAX_ROWS,
     MAX_SAMPLES,
+    Command,
     RunReport,
     dumps_stable,
     emit,
@@ -528,6 +532,181 @@ class TestEmission:
         config = resolve_config("counterexample", None, {"samples": 1, "seed": 0})
         text = emit(run(config), "csv")
         assert text == ",".join(COMMANDS["counterexample"].csv_header) + "\n"
+
+
+def reference_dumps(obj, indent=0):
+    """The recursive writer that the template writer replaced, kept as the
+    reference its output must match byte for byte."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValidationError(f"cannot serialize non-finite number {obj!r}")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [reference_dumps(v, indent + 1) for v in obj]
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k), ensure_ascii=True)}: {reference_dumps(v, indent + 1)}"
+            for k, v in sorted(obj.items())
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise ValidationError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.text(max_size=4)
+)
+_KEYS = st.sampled_from(["a", "b", "theta", "%s", "%", "é", ""])
+# Trees that mix lists of same-keyed rows, ragged rows, scalar lists and nesting.
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4)
+        | st.tuples(st.lists(_KEYS, min_size=1, max_size=3, unique=True),
+                    st.lists(st.lists(children, min_size=3, max_size=3), min_size=1, max_size=4))
+        .map(lambda kv: [dict(zip(kv[0], row)) for row in kv[1]])
+    ),
+    max_leaves=30,
+)
+_UNSUPPORTED = [np.int64(1), np.float32(1.0), np.bool_(True), {1}, b"x", Fraction(1, 2), object()]
+_NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.inf)]
+
+
+def _nested(value):
+    """``value`` at the top level, inside a row of a row list, inside a
+    scalar list and inside a nested dict."""
+    return [
+        value,
+        [{"x": 1.0, "y": value}, {"x": 2.0, "y": 3.0}],
+        [1.0, value, 2.0],
+        {"k": {"rows": [{"v": [value]}]}},
+    ]
+
+
+def _lines(*lines):
+    return "\n".join(lines)
+
+
+class TestStableWriter:
+    """Edge cases of ``dumps_stable``, pinned at the recursive writer."""
+
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+    def test_non_finite_numbers_rejected(self, value):
+        for obj in _nested(value):
+            with pytest.raises(ValidationError, match="non-finite"):
+                dumps_stable(obj)
+
+    @pytest.mark.parametrize("results", [
+        {"rows": [{"x": 1.0, "y": math.nan}]},
+        {"values": [1.0, math.inf]},
+        {"values": [-math.inf]},
+    ])
+    def test_non_finite_result_exits_2(self, monkeypatch, capsys, results):
+        fake = Command(help="", run=lambda config: results, csv_header=(), csv_rows=list)
+        monkeypatch.setitem(COMMANDS, "exact", fake)
+        assert main(["exact", "--config", "wigner-uniform"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bellstat: cannot serialize non-finite number")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", _UNSUPPORTED, ids=lambda v: type(v).__name__)
+    def test_unsupported_types_rejected(self, value):
+        for obj in _nested(value):
+            with pytest.raises(ValidationError, match="cannot serialize"):
+                dumps_stable(obj)
+
+    def test_bools_print_as_json_bools(self):
+        rows = [{"flag": True, "n": 1}, {"flag": False, "n": 0}]
+        assert dumps_stable(rows) == _lines(
+            "[", "  {", '    "flag": true,', '    "n": 1', "  },",
+            "  {", '    "flag": false,', '    "n": 0', "  }", "]",
+        )
+        assert dumps_stable([True, 1, False, 0, None, 0.5, -0.0, "x"]) == _lines(
+            "[", "  true,", "  1,", "  false,", "  0,", "  null,", "  0.5,", "  -0,", '  "x"', "]",
+        )
+
+    def test_numpy_float64_formats_as_a_float(self):
+        values = [0.1, 1 / 3, 2.5e-300, -7.0]
+        as_numpy = [np.float64(v) for v in values]
+        for wrap in (lambda v: v, lambda v: [{"p": x} for x in v], lambda v: {"v": v}):
+            assert dumps_stable(wrap(as_numpy)) == dumps_stable(wrap(values))
+        assert dumps_stable(np.float64(0.1)) == "0.10000000000000001"
+
+    def test_ragged_rows_empty_and_nested_containers(self):
+        assert dumps_stable([{"a": 1, "b": [1.5, True]}, {"a": 2}, {"c": None, "a": "x"}, {}]) == _lines(
+            "[", "  {", '    "a": 1,', '    "b": [', "      1.5,", "      true", "    ]", "  },",
+            "  {", '    "a": 2', "  },", "  {", '    "a": "x",', '    "c": null', "  },", "  {}", "]",
+        )
+        assert dumps_stable({"list": [], "dict": {}, "rows": [[], {}], "nested": [[[]], [{}]]}) == _lines(
+            "{", '  "dict": {},', '  "list": [],', '  "nested": [', "    [", "      []", "    ],",
+            "    [", "      {}", "    ]", "  ],", '  "rows": [', "    [],", "    {}", "  ]", "}",
+        )
+        assert dumps_stable({"z": {"y": [{"x": [{"w": 0.25}]}]}, "a": [[1, 2], (3.0, "q\u00e9")]}) == _lines(
+            "{", '  "a": [', "    [", "      1,", "      2", "    ],", "    [", "      3,",
+            '      "q\\u00e9"', "    ]", "  ],", '  "z": {', '    "y": [', "      {", '        "x": [',
+            "          {", '            "w": 0.25', "          }", "        ]", "      }", "    ]", "  }", "}",
+        )
+        assert dumps_stable({10: "ten", 2: "two"}) == _lines("{", '  "2": "two",', '  "10": "ten"', "}")
+        assert dumps_stable([]) == "[]" and dumps_stable({}) == "{}" and dumps_stable(()) == "[]"
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(tree=_JSON_TREES, indent=st.integers(0, 3))
+    def test_matches_the_recursive_writer(self, tree, indent):
+        assert dumps_stable(tree, indent) == reference_dumps(tree, indent)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestLargeReportBytes:
+    """SHA-256 of the ``config``+``results`` JSON (``meta`` dropped) and of
+    the CSV of two large reports, taken from the per-step scan and the
+    recursive writer that the float kernel and the template writer replaced."""
+
+    CASES = {
+        "quantum-20000-steps": (
+            "quantum", {"axes_spacing_deg": 179, "steps": 20_000, "samples": 10_000, "seed": 3},
+            "28752d0d5d383cd450b0aca9a388f68aff950d10d4dea295e68de202a6e7076a",
+            "876b60a3d8d9ea3368f25ae40f4684d48280b5ad1098362eddd35b80fac3b59c",
+        ),
+        "drain-8000-pairs": (
+            "drain", {"table": [1920, 36, 1440, 1040, 200, 2560, 4, 800], "seed": 7},
+            "e5f3ab3ba649ac06d83ccf709a0723247ebbe37464b93f6272e6bd7d785aae08",
+            "5fb9ebcafb094ead05b8e4a79b5f99b57da0b0ba1cac3aa869fde85261f31fcf",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_report_bytes_are_pinned(self, name):
+        command, overrides, json_digest, csv_digest = self.CASES[name]
+        report = run(resolve_config(command, None, overrides))
+        text = emit(report, "json")
+        doc = json.loads(text)
+        assert text == dumps_stable(doc) + "\n"
+        assert sha256(dumps_stable({"config": doc["config"], "results": doc["results"]})) == json_digest
+        assert sha256(emit(report, "csv")) == csv_digest
 
 
 class TestPresets:

@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellstat import (
     Axis,
@@ -132,6 +135,55 @@ class TestWignerScan:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValidationError):
             quantum_wigner_scan(1.0, steps=0)
+
+
+class TestPinnedScan:
+    """SHA-256 of every scan point packed as ``<3d?`` (theta, lhs, rhs,
+    violated).  The digests were taken from the scan that built an
+    ``AxisTriple`` and three ``SingletPrediction``s per step, so a kernel that
+    moves any value by one bit fails here."""
+
+    DIGESTS = {
+        (179, 20_000): "38cbfcb409742f5bf1c38372902afa136621570cd0f8a29ae777f4b391b9073e",
+        (60, 20_000): "994bae19e675d54d3b9118fa57dc387d3a5b9661cf6e951732803778ad431865",
+        (137, 33_333): "4b3514ac17233565743f93e6b0071305c2789318491ab65f67f25ed197d0b579",
+    }
+
+    @pytest.mark.parametrize("spacing_deg, steps", DIGESTS)
+    def test_scan_matches_pinned_digest(self, spacing_deg, steps):
+        digest = hashlib.sha256()
+        for point in quantum_wigner_scan(math.radians(spacing_deg), steps):
+            digest.update(struct.pack("<3d?", point.theta, point.lhs, point.rhs, point.violated))
+        assert digest.hexdigest() == self.DIGESTS[spacing_deg, steps]
+
+
+class TestScanOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spacing=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+        steps=st.integers(1, 50),
+    )
+    def test_scan_agrees_with_statevector_and_the_violation_region(self, spacing, steps):
+        """lhs and rhs match projector expectation values on the explicit
+        singlet state, and a violation is flagged exactly for theta < 90
+        degrees.  Two bands are left out: 1e-9 around 90 degrees, where
+        rounding decides, and theta <= 1e-5, where the true margin
+        lhs - rhs ~ theta**2 / 4 falls below the 1e-12 flag tolerance."""
+        points = quantum_wigner_scan(spacing, steps)
+        assert len(points) == steps
+        for point in points:
+            axes = AxisTriple.coplanar(point.theta)
+            lhs = singlet_prediction_statevector(axes.a, axes.b).p_pp
+            rhs = (
+                singlet_prediction_statevector(axes.a, axes.c).p_pp
+                + singlet_prediction_statevector(axes.c, axes.b).p_pp
+            )
+            assert abs(point.lhs - lhs) <= 1e-12
+            assert abs(point.rhs - rhs) <= 1e-12
+            if point.theta > math.pi / 2 + 1e-9:
+                assert not point.violated
+            elif 1e-5 < point.theta < math.pi / 2 - 1e-9:
+                assert point.violated
 
 
 class TestSingletSampler:

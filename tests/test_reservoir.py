@@ -19,6 +19,7 @@ from bellstat import (
     finite_vs_infinite_divergence,
 )
 from bellstat.reservoir import remaining_counts, sample
+from bellstat.rng import stream
 
 AB = PairOutcome("a", +1, "b", +1)
 
@@ -27,6 +28,21 @@ def conditional_probabilities(bag, populations):
     """Pre-draw conditional probabilities of a finite sample, one row per draw."""
     before = remaining_counts(bag, populations)[:-1]
     return before / before.sum(axis=1, keepdims=True)
+
+
+def broadcast_finite_sample(bag, seed, n):
+    """Reference finite sampler: all ``n`` bounded integers from one
+    broadcast ``integers`` call, then a scan of the 8 counts per draw."""
+    current = list(bag.counts)
+    populations = []
+    for u in stream(seed).integers(0, np.arange(bag.total, bag.total - n, -1)).tolist():
+        i = 0
+        while u >= current[i]:
+            u -= current[i]
+            i += 1
+        current[i] -= 1
+        populations.append(i + 1)
+    return np.array(populations, dtype=np.int64)
 
 
 def expected_conditional(bag, population, step_target):
@@ -125,6 +141,17 @@ class TestFiniteDraws:
         populations = sample(ReservoirSpec.finite(bag, seed=23), bag.total)
         for row in conditional_probabilities(bag, populations):
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("counts, n, seed", [
+        ((300_000, 1, 150_000, 200_000, 49_999, 100_000, 100_000, 100_000), 10**6, 11),
+        ((2**39, 2**38, 2**37, 2**36, 2**35, 2**34, 2**33, 2**33), 3 * 10**5, 2**64 - 1),
+        ((1200, 25, 900, 650, 125, 1600, 3, 497), 5000, 5),
+    ], ids=["1e6-of-1e6", "3e5-of-2^40", "5000-pair-drain"])
+    def test_chunked_draws_match_one_broadcast_call(self, counts, n, seed):
+        bag = PopulationTable.from_counts(counts)
+        populations = sample(ReservoirSpec.finite(bag, seed), n)
+        assert populations.dtype == np.int64
+        assert np.array_equal(populations, broadcast_finite_sample(bag, seed, n))
 
     def test_first_draw_matches_infinite_mode(self):
         bag = PopulationTable.from_counts((4, 3, 2, 1, 0, 0, 5, 1))
