@@ -28,7 +28,11 @@ Reports have a stable top-level schema ``{config, results, meta}``
 ``config`` and ``results`` sections regardless of ``--workers``; wall-clock
 duration and worker count live in ``meta`` only.  Floats are emitted with 17
 significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
-:func:`dumps_stable`, fills a cached template per dict shape, rows column by column.
+:func:`dumps_stable`, fills a cached template per dict shape.  A list of
+same-keyed rows becomes one string per block of up to 1024 rows, through one
+row template and one ``%``: float and int columns, and columns of equal-length
+float or int lists, are formatted by the ``%`` itself; any other column is
+inserted as its value texts.  The CSV rows share the same column pieces.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -43,6 +47,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -187,30 +192,66 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 
 
 @lru_cache(maxsize=256)
-def _template(keys: tuple[str, ...], indent: int) -> str:
-    """A dict with these sorted keys at ``indent``, one ``%s`` per value."""
+def _template(keys: tuple[str, ...], indent: int, pieces: tuple[str, ...] | None = None) -> str:
+    """A dict with these sorted keys at ``indent``, one piece (``%s`` unless
+    given) per value."""
     inner = "  " * (indent + 1)
-    items = ",\n".join(inner + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    pieces = pieces or ("%s",) * len(keys)
+    items = ",\n".join(
+        inner + json.dumps(k).replace("%", "%%") + ": " + piece for k, piece in zip(keys, pieces)
+    )
     return "{\n" + items + "\n" + "  " * indent + "}"
+
+
+def _number(values: Sequence[Any]) -> str | None:
+    """The ``%`` piece of a column of exact finite floats or exact ints, else None."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return "%.17g" if all(map(math.isfinite, values)) else None
+    return "%d" if kinds == {int} else None
 
 
 def _texts(values: Sequence[Any], indent: int) -> list[str]:
     """JSON texts of ``values`` at ``indent``, in one pass when all share a scalar type."""
+    if (piece := _number(values)) is not None:
+        return ((piece + "\0") * len(values) % tuple(values)).split("\0")[:-1]
     kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return ("%.17g\0" * len(values) % tuple(values)).split("\0")[:-1]
     to_text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
     return list(map(to_text, values)) if to_text else [dumps_stable(v, indent) for v in values]
 
 
+def _column(values: Sequence[Any], indent: int) -> tuple[str, list[Sequence[Any]]]:
+    """The template piece of one column of values at ``indent`` and the value
+    columns that fill it: a number column fills in the ``%``, a column of
+    equal-length numeric lists spreads over one value column per element, and
+    any other column is filled with its ``_texts``."""
+    if (piece := _number(values)) is not None:
+        return piece, [values]
+    n = len(values[0]) if type(values[0]) is list else 0
+    if n and all(type(v) is list and len(v) == n for v in values):
+        elements = list(zip(*values))
+        pieces = list(map(_number, elements))
+        if None not in pieces:
+            inner = "\n" + "  " * (indent + 1)
+            return "[" + ",".join(inner + p for p in pieces) + "\n" + "  " * indent + "]", elements
+    return "%s", [_texts(values, indent)]
+
+
 def _rows(rows: Sequence[dict], indent: int) -> Iterator[str]:
-    """Same-keyed dicts at ``indent`` through one template, filled column by
-    column in blocks of 1024 rows so that one block of value texts is alive."""
+    """Same-keyed dicts at ``indent``, each block of up to 1024 rows as one
+    string: one row template repeated over the block, filled by one ``%``."""
     keys = sorted(rows[0])
-    fill = _template(tuple(map(str, keys)), indent).__mod__
+    names = tuple(map(str, keys))
+    sep = ",\n" + "  " * indent
     for i in range(0, len(rows), 1024):
-        columns = [_texts([row[k] for row in rows[i:i + 1024]], indent + 1) for k in keys]
-        yield from map(fill, zip(*columns))
+        block = rows[i:i + 1024]
+        pieces, columns = [], []
+        for k in keys:
+            piece, values = _column([row[k] for row in block], indent + 1)
+            pieces.append(piece)
+            columns.extend(values)
+        row = _template(names, indent, tuple(pieces))
+        yield sep.join([row] * len(block)) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def dumps_stable(obj: Any, indent: int = 0) -> str:
@@ -224,7 +265,11 @@ def dumps_stable(obj: Any, indent: int = 0) -> str:
         items = _rows(obj, indent + 1) if rows else _texts(obj, indent + 1)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + "  " * indent + "]"
     if isinstance(obj, dict):
-        return next(_rows([obj], indent)) if obj else "{}"
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        texts = (dumps_stable(obj[k], indent + 1) for k in keys)
+        return _template(tuple(map(str, keys)), indent) % tuple(texts)
     for kind in (int, float, str):  # subclasses: np.float64 formats as a float
         if isinstance(obj, kind):
             return _SCALARS[kind](obj)
@@ -240,8 +285,21 @@ def _csv_cell(v: Any) -> str:
 
 
 def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """The header line, then each block of up to 1024 equal-length rows as one
+    string through one row template: a number column fills in the ``%``, any
+    other column with its ``_csv_cell`` texts."""
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    for i in range(0, len(rows), 1024):
+        block = rows[i:i + 1024]
+        pieces, columns = [], []
+        for values in zip(*block, strict=True):
+            piece = _number(values)
+            if piece is None:
+                piece, values = "%s", list(map(_csv_cell, values))
+            pieces.append(piece)
+            columns.append(values)
+        row = ",".join(pieces)
+        lines.append("\n".join([row] * len(block)) % tuple(chain.from_iterable(zip(*columns))))
     return "\n".join(lines) + "\n"
 
 

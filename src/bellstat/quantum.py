@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,8 +118,7 @@ def singlet_prediction_statevector(axis1: Axis, axis2: Axis) -> SingletPredictio
     )
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     """One spacing in an inequality scan.  ``theta`` is the a-c (= c-b) angle."""
 
     theta: float
@@ -136,7 +135,7 @@ def wigner_point(
     ``theta``.  Violation is flagged where lhs > rhs + 1e-12."""
     lhs = _singlet(a, b)[0]
     rhs = _singlet(a, c)[0] + _singlet(c, b)[0]
-    return ScanPoint(theta=theta, lhs=lhs, rhs=rhs, violated=lhs > rhs + TOL)
+    return ScanPoint(theta, lhs, rhs, lhs > rhs + TOL)
 
 
 def quantum_wigner_scan(spacing: float, steps: int = 1) -> tuple[ScanPoint, ...]:

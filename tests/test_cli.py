@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +23,7 @@ from bellstat.cli import (
     MAX_SAMPLES,
     Command,
     RunReport,
+    _csv_lines,
     dumps_stable,
     emit,
     main,
@@ -576,9 +579,58 @@ _JSON_SCALARS = (
     | st.text(max_size=4)
 )
 _KEYS = st.sampled_from(["a", "b", "theta", "%s", "%", "é", ""])
-# Trees that mix lists of same-keyed rows, ragged rows, scalar lists and nesting.
+
+
+class _Int(int):
+    """An int subclass: the writers format it value by value, not in the template."""
+
+
+def _float(rng):
+    """A finite float from any binade, signed zeros and subnormals included."""
+    x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    return x if math.isfinite(x) else rng.random()
+
+
+_VALUES = {
+    "float": _float,
+    "int": lambda rng: rng.randint(-2**70, 2**70),
+    "bool": lambda rng: rng.random() < 0.5,
+}
+_SPOILS = [None, "bool", "float64", "int subclass", "empty", "ragged"]
+
+
+@st.composite
+def _list_rows(draw, sizes):
+    """Same-keyed rows with float, int and bool columns and columns of
+    fixed-length float and int lists, like drain steps.  One list cell may be
+    spoiled by a bool, an ``np.float64``, an int subclass, an empty list or a
+    ragged length.  Values come from a seeded generator, so rows are cheap."""
+    n = draw(sizes)
+    width = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keys = draw(st.lists(_KEYS, min_size=5, max_size=5, unique=True))
+    kinds = ["float", "int", "bool", ["float"] * width, ["int"] * width]
+    def cell(kind):
+        return [_VALUES[k](rng) for k in kind] if isinstance(kind, list) else _VALUES[kind](rng)
+    rows = [{key: cell(kind) for key, kind in zip(keys, kinds)} for _ in range(n)]
+    spoil = draw(st.sampled_from(_SPOILS))
+    if spoil is not None:
+        row, key = rows[draw(st.integers(0, n - 1))], draw(st.sampled_from(keys[3:]))
+        values, e = row[key], draw(st.integers(0, width - 1))
+        if spoil == "empty":
+            row[key] = []
+        elif spoil == "ragged":
+            row[key] = values[:-1] if draw(st.booleans()) else values + values[:1]
+        else:
+            kind = {"bool": bool, "float64": np.float64, "int subclass": _Int}[spoil]
+            values[e] = kind(values[e])
+    return rows
+
+
+# Trees that mix lists of same-keyed rows, ragged rows, scalar lists, rows of
+# numeric-list columns and nesting.
 _JSON_TREES = st.recursive(
-    _JSON_SCALARS,
+    _JSON_SCALARS | _list_rows(st.integers(1, 4)),
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=3).map(tuple)
@@ -674,6 +726,77 @@ class TestStableWriter:
     @given(tree=_JSON_TREES, indent=st.integers(0, 3))
     def test_matches_the_recursive_writer(self, tree, indent):
         assert dumps_stable(tree, indent) == reference_dumps(tree, indent)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=_list_rows(st.integers(1025, 2100)), indent=st.integers(0, 3))
+    def test_matches_the_recursive_writer_over_several_blocks(self, rows, indent):
+        assert dumps_stable(rows, indent) == reference_dumps(rows, indent)
+        assert dumps_stable({"steps": rows}, indent) == reference_dumps({"steps": rows}, indent)
+
+    def test_non_finite_in_a_list_column_of_a_late_block(self, monkeypatch, capsys):
+        steps = [
+            {"step": i, "conditional_probabilities": [i / (j + 1) for j in range(8)]}
+            for i in range(1, 2001)
+        ]
+        steps[1499]["conditional_probabilities"][5] = math.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            dumps_stable({"steps": steps})
+        fake = Command(
+            help="", run=lambda config: {"steps": steps}, csv_header=("step",),
+            csv_rows=lambda results: [[s["step"], *s["conditional_probabilities"]]
+                                      for s in results["steps"]],
+        )
+        monkeypatch.setitem(COMMANDS, "exact", fake)
+        for fmt in ("json", "csv"):
+            assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 2
+            err = capsys.readouterr().err
+            assert err == "bellstat: cannot serialize non-finite number nan\n"
+
+
+def reference_csv(header, rows):
+    """The per-cell CSV writer that the column template writer replaced."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValidationError(f"cannot serialize non-finite number {v!r}")
+            return format(v, ".17g")
+        return str(v)
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_ODD_CELLS = [True, False, np.float64(0.1), _Int(7), "x", "", None, 2.5, 3, -0.0]
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and rows whose columns are floats, ints or bools, with a few
+    cells replaced by a value of another type; up to two blocks of rows."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1, max_size=6))
+    n = draw(st.integers(0, 20) | st.integers(1020, 2100))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[_VALUES[kind](rng) for kind in kinds] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        row[draw(st.integers(0, len(kinds) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+    return [f"c{i}" for i in range(len(kinds))], rows
+
+
+class TestCsvWriter:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(table=_csv_tables())
+    def test_matches_the_per_cell_writer(self, table):
+        assert _csv_lines(*table) == reference_csv(*table)
+
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+    def test_non_finite_numbers_rejected(self, value):
+        rows = [[1, 0.5, True]] * 1500
+        rows[1200] = [2, value, False]
+        with pytest.raises(ValidationError, match="non-finite"):
+            _csv_lines(("a", "b", "c"), rows)
 
 
 def sha256(text):
