@@ -26,9 +26,11 @@ print(f"  closed form:  {closed.as_tuple()}")
 print(f"  state vector: {oracle.as_tuple()}")
 
 # Scan the symmetric coplanar configuration.  Violation region: 0 < theta < 90.
+# The scan comes back as four columns, one entry per step.
+scan = quantum_wigner_scan(math.radians(175), steps=7)
 print("\ntheta  lhs      rhs      violated")
-for point in quantum_wigner_scan(math.radians(175), steps=7):
-    print(f"{math.degrees(point.theta):>5.0f}  {point.lhs:.5f}  {point.rhs:.5f}  {point.violated}")
+for theta, lhs, rhs, violated in zip(scan.theta, scan.lhs, scan.rhs, scan.violated):
+    print(f"{math.degrees(theta):>5.0f}  {lhs:.5f}  {rhs:.5f}  {violated}")
 
 triple = wigner_check_probabilities(0.375, 0.125, 0.125)
 print(f"\nquantum triple at 60 degrees: margin {triple.margin:+.3f} -> "

@@ -71,6 +71,7 @@ from .quantum import (
     ScanPoint,
     SingletPrediction,
     SingletSampleCounts,
+    WignerScan,
     quantum_wigner_scan,
     singlet_prediction,
     singlet_prediction_statevector,

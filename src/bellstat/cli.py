@@ -11,7 +11,7 @@ entropy         Multiplicity/entropy inequality checks on a vector.
 counterexample  Random search for a sum-form inequality violator.
 
 Each command is one :class:`Command` entry in :data:`COMMANDS` (help line,
-pipeline, CSV header and CSV rows); the parser, :func:`run` and :func:`emit`
+pipeline, CSV header and CSV columns); the parser, :func:`run` and :func:`emit`
 all read that table.  Every command takes the same options, and each value
 is checked once: its JSON type by ``_CONVERTERS``, its range by
 :class:`ExperimentConfig`, so a bad flag or config value exits 2 with one line.
@@ -28,11 +28,13 @@ Reports have a stable top-level schema ``{config, results, meta}``
 ``config`` and ``results`` sections regardless of ``--workers``; wall-clock
 duration and worker count live in ``meta`` only.  Floats are emitted with 17
 significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
-:func:`dumps_stable`, fills a cached template per dict shape.  A list of
-same-keyed rows becomes one string per block of up to 1024 rows, through one
-row template and one ``%``: float and int columns, and columns of equal-length
-float or int lists, are formatted by the ``%`` itself; any other column is
-inserted as its value texts.  The CSV rows share the same column pieces.
+:func:`dumps_stable`, fills a cached template per dict shape.  Report rows
+(scan points, drain steps) are handed over as a :class:`Columns` table, key ->
+column, and a plain list of same-keyed dicts is turned into one; each block
+of up to 1024 rows becomes one string through one row template and one
+``%``: float and int columns, and columns of equal-length float or int lists
+(2-D arrays included), are formatted by the ``%`` itself; any other column is
+inserted as its value texts.  Each command's CSV is a list of such columns.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -48,7 +50,7 @@ import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -237,33 +239,49 @@ def _column(values: Sequence[Any], indent: int) -> tuple[str, list[Sequence[Any]
     return "%s", [_texts(values, indent)]
 
 
-def _rows(rows: Sequence[dict], indent: int) -> Iterator[str]:
-    """Same-keyed dicts at ``indent``, each block of up to 1024 rows as one
-    string: one row template repeated over the block, filled by one ``%``."""
-    keys = sorted(rows[0])
+class Columns(dict):
+    """Report rows held by column, ``key -> column``: a list of scalars, or a
+    2-D int64/float64 array whose rows are the rows' fixed-length number
+    lists.  :func:`dumps_stable` writes it as the list of same-keyed objects
+    it stands for."""
+
+
+def _rows(columns: Columns, indent: int) -> Iterator[str]:
+    """The rows at ``indent``, each block of up to 1024 rows as one string:
+    one row template repeated over the block, filled by one ``%``.  An array
+    block is read through ``.tolist()``, so it is checked like a list."""
+    keys = sorted(columns)
     names = tuple(map(str, keys))
     sep = ",\n" + "  " * indent
-    for i in range(0, len(rows), 1024):
-        block = rows[i:i + 1024]
-        pieces, columns = [], []
+    for i in range(0, len(columns[keys[0]]) if keys else 0, 1024):
+        pieces, values = [], []
         for k in keys:
-            piece, values = _column([row[k] for row in block], indent + 1)
+            block = columns[k][i:i + 1024]
+            piece, cells = _column(
+                block.tolist() if isinstance(block, np.ndarray) else block, indent + 1
+            )
             pieces.append(piece)
-            columns.extend(values)
+            values.extend(cells)
         row = _template(names, indent, tuple(pieces))
-        yield sep.join([row] * len(block)) % tuple(chain.from_iterable(zip(*columns)))
+        filled = tuple(chain.from_iterable(zip(*values, strict=True)))
+        yield sep.join([row] * len(values[0])) % filled
 
 
 def dumps_stable(obj: Any, indent: int = 0) -> str:
     if (to_text := _SCALARS.get(type(obj))) is not None:
         return to_text(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, (list, tuple)) and obj and all(
+        isinstance(row, dict) and row and row.keys() == obj[0].keys() for row in obj
+    ):
+        obj = Columns((k, [row[k] for row in obj]) for k in obj[0])
+    if isinstance(obj, (list, tuple, Columns)):
+        items = list(_rows(obj, indent + 1) if isinstance(obj, Columns) else _texts(obj, indent + 1))
+        if not items:
             return "[]"
         inner = "  " * (indent + 1)
-        rows = all(isinstance(row, dict) and row and row.keys() == obj[0].keys() for row in obj)
-        items = _rows(obj, indent + 1) if rows else _texts(obj, indent + 1)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + "  " * indent + "]"
+        items[0] = "[\n" + inner + items[0]  # brackets on the ends: one join, no copy after it
+        items[-1] += "\n" + "  " * indent + "]"
+        return (",\n" + inner).join(items)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -284,22 +302,25 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
-def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """The header line, then each block of up to 1024 equal-length rows as one
-    string through one row template: a number column fills in the ``%``, any
-    other column with its ``_csv_cell`` texts."""
+def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]) -> str:
+    """The header line, then the rows of ``columns`` (each a list of cells,
+    or a 2-D array that fills one CSV column per array column), each block of
+    up to 1024 rows as one string through one row template: a number column
+    fills in the ``%``, any other column with its ``_csv_cell`` texts."""
     lines = [",".join(header)]
-    for i in range(0, len(rows), 1024):
-        block = rows[i:i + 1024]
-        pieces, columns = [], []
-        for values in zip(*block, strict=True):
-            piece = _number(values)
-            if piece is None:
-                piece, values = "%s", list(map(_csv_cell, values))
-            pieces.append(piece)
-            columns.append(values)
+    for i in range(0, len(columns[0]) if columns else 0, 1024):
+        pieces, values = [], []
+        for column in columns:
+            block = column[i:i + 1024]
+            for cells in block.T.tolist() if isinstance(block, np.ndarray) else [block]:
+                piece = _number(cells)
+                if piece is None:
+                    piece, cells = "%s", list(map(_csv_cell, cells))
+                pieces.append(piece)
+                values.append(cells)
         row = ",".join(pieces)
-        lines.append("\n".join([row] * len(block)) % tuple(chain.from_iterable(zip(*columns))))
+        filled = tuple(chain.from_iterable(zip(*values, strict=True)))
+        lines.append("\n".join([row] * len(values[0])) % filled)
     return "\n".join(lines) + "\n"
 
 
@@ -380,15 +401,20 @@ def _config_echo(config: ExperimentConfig) -> dict:
 @dataclass(frozen=True)
 class Command:
     """One CLI command: its help line, its pipeline ``run(config)``, and the
-    CSV header and rows it emits from its ``results``."""
+    CSV header and the columns of CSV cells it emits from its ``results``."""
 
     help: str
     run: Callable[[ExperimentConfig], dict]
     csv_header: tuple[str, ...]
-    csv_rows: Callable[[dict], list[list[Any]]]
+    csv_columns: Callable[[dict], list[Sequence[Any] | np.ndarray]]
 
 
 COMMANDS: dict[str, Command] = {}
+
+
+def _transposed(rows: Iterable[Sequence[Any]]) -> list[list[Any]]:
+    """The CSV columns of a few equal-length rows."""
+    return [list(column) for column in zip(*rows, strict=True)]
 
 
 def _run_exact(config: ExperimentConfig) -> dict:
@@ -414,7 +440,7 @@ COMMANDS["exact"] = Command(
     csv_header=(
         "term", *_OUTCOME_COLUMNS, "populations", "numerator", "denominator", "probability",
     ),
-    csv_rows=lambda results: [
+    csv_columns=lambda results: _transposed(
         [
             t["label"],
             *(t["outcome"][k] for k in _OUTCOME_COLUMNS),
@@ -422,7 +448,7 @@ COMMANDS["exact"] = Command(
             t["numerator"], t["denominator"], t["value"],
         ]
         for t in results["wigner"]["terms"]
-    ],
+    ),
 )
 
 
@@ -451,14 +477,14 @@ COMMANDS["simulate"] = Command(
     help="Monte Carlo reservoir sampling against exact values",
     run=_run_simulate,
     csv_header=("outcome", *_OUTCOME_COLUMNS, "p_hat", "stderr", "n", "reference"),
-    csv_rows=lambda results: [
+    csv_columns=lambda results: _transposed(
         [
             e["outcome"]["label"],
             *(e["outcome"][k] for k in _OUTCOME_COLUMNS),
             e["p_hat"], e["stderr"], e["n"], e["reference"],
         ]
         for e in results["estimates"]
-    ],
+    ),
 )
 
 
@@ -471,22 +497,17 @@ def _run_drain(config: ExperimentConfig) -> dict:
         )
     populations, counts = depletion_trajectory(spec)
     before = counts[:-1]
-    probabilities = (before / before.sum(axis=1, keepdims=True)).tolist()
-    steps = [
-        {
-            "step": step,
-            "population": population,
-            "conditional_probabilities": probs,
-            "remaining": remaining,
-        }
-        for step, (population, probs, remaining) in enumerate(
-            zip(populations.tolist(), probabilities, counts[1:].tolist()), start=1
-        )
-    ]
+    probabilities = before / before.sum(axis=1, keepdims=True)
+    steps = Columns(
+        step=list(range(1, len(populations) + 1)),
+        population=populations.tolist(),
+        conditional_probabilities=probabilities,
+        remaining=counts[1:],
+    )
     return {
         "initial_total": config.table.total,
         "steps": steps,
-        "final_conditional_probability": probabilities[-1][int(populations[-1]) - 1],
+        "final_conditional_probability": probabilities[-1, populations[-1] - 1].item(),
     }
 
 
@@ -498,9 +519,9 @@ COMMANDS["drain"] = Command(
         *(f"p{i}" for i in range(1, 9)),
         *(f"remaining{i}" for i in range(1, 9)),
     ),
-    csv_rows=lambda results: [
-        [s["step"], s["population"], *s["conditional_probabilities"], *s["remaining"]]
-        for s in results["steps"]
+    csv_columns=lambda results: [
+        results["steps"][k]
+        for k in ("step", "population", "conditional_probabilities", "remaining")
     ],
 )
 
@@ -510,15 +531,20 @@ def _run_quantum(config: ExperimentConfig) -> dict:
         axes = config.axes
         theta = axes.angle("a", "c")
         point = wigner_point(axes.a.direction, axes.b.direction, axes.c.direction, theta)
-        scan = [(math.degrees(theta), point)]
+        scan = Columns(
+            theta_deg=[math.degrees(theta)],
+            lhs=[point.lhs], rhs=[point.rhs], violated=[point.violated],
+        )
     else:
-        assert config.axes_spacing_deg is not None
-        spacing = math.radians(config.axes_spacing_deg)
+        deg, steps = config.axes_spacing_deg, config.steps
+        assert deg is not None
+        spacing = math.radians(deg)
         axes = AxisTriple.coplanar(spacing)
-        scan = [
-            (config.axes_spacing_deg * k / config.steps, pt)
-            for k, pt in enumerate(quantum_wigner_scan(spacing, config.steps), start=1)
-        ]
+        points = quantum_wigner_scan(spacing, steps)
+        scan = Columns(
+            theta_deg=[deg * k / steps for k in range(1, steps + 1)],
+            lhs=points.lhs, rhs=points.rhs, violated=points.violated,
+        )
 
     counts = singlet_sample(axes, config.samples, config.seed)
     estimates = []
@@ -528,10 +554,7 @@ def _run_quantum(config: ExperimentConfig) -> dict:
         ).probability(outcome.alice_sign, outcome.bob_sign)
         estimates.append(_estimate_dict(counts.estimate(outcome), reference=predicted))
     return {
-        "scan": [
-            {"theta_deg": theta_deg, "lhs": pt.lhs, "rhs": pt.rhs, "violated": pt.violated}
-            for theta_deg, pt in scan
-        ],
+        "scan": scan,
         "sampler": {"n": counts.n, "estimates": estimates},
     }
 
@@ -540,8 +563,8 @@ COMMANDS["quantum"] = Command(
     help="singlet-state inequality scan and sampler",
     run=_run_quantum,
     csv_header=("theta", "lhs", "rhs", "violated"),
-    csv_rows=lambda results: [
-        [pt["theta_deg"], pt["lhs"], pt["rhs"], pt["violated"]] for pt in results["scan"]
+    csv_columns=lambda results: [
+        results["scan"][k] for k in ("theta_deg", "lhs", "rhs", "violated")
     ],
 )
 
@@ -568,14 +591,14 @@ COMMANDS["entropy"] = Command(
     help="multiplicity and entropy inequality checks",
     run=_run_entropy,
     csv_header=("inequality", "lhs", "rhs", "margin", "holds", "equal_multiplicity_precondition"),
-    csv_rows=lambda results: [
+    csv_columns=lambda results: _transposed(
         [
             name,
             *(results[name][k] for k in ("lhs", "rhs", "margin", "holds")),
             results[name].get("equal_multiplicity_precondition", ""),
         ]
         for name in ("multiplicity_inequality", "product_inequality", "entropy_inequality")
-    ],
+    ),
 )
 
 
@@ -597,9 +620,9 @@ COMMANDS["counterexample"] = Command(
     help="search for a sum-form inequality violator",
     run=_run_counterexample,
     csv_header=("found", *(f"omega{i}" for i in range(1, 9)), "lhs", "rhs", "margin"),
-    csv_rows=lambda results: [
+    csv_columns=lambda results: _transposed([
         [True, *results["omegas"], *(results["report"][k] for k in ("lhs", "rhs", "margin"))]
-    ] if results["found"] else [],
+    ] if results["found"] else []),
 )
 
 
@@ -631,7 +654,7 @@ def emit(report: RunReport, fmt: str) -> str:
         return dumps_stable(report.document()) + "\n"
     if fmt == "csv":
         command = COMMANDS[report.config["command"]]
-        return _csv_lines(command.csv_header, command.csv_rows(report.results))
+        return _csv_lines(command.csv_header, command.csv_columns(report.results))
     raise ValidationError(f"unknown format {fmt!r}")
 
 

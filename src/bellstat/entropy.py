@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .populations import (
     TOL,
@@ -40,6 +42,9 @@ from .rng import stream
 BOLTZMANN_SI = 1.380649e-23
 
 MultiplicityPolicy = Literal["equal", "proportional"]
+
+#: Largest block of vectors drawn at once by the counterexample search.
+_SEARCH_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -300,7 +305,9 @@ def find_multiplicity_counterexample(
     Draws ``budget`` vectors with entries 10^u, u uniform over
     ``log10_range``, and returns the first violator (None if the budget is
     exhausted).  With a degenerate range (lo == hi) all entries are equal and
-    no violator exists.  Deterministic given ``seed``.
+    no violator exists.  Deterministic given ``seed``.  Vectors are drawn
+    from the one stream in blocks of 1, 2, 4, ... up to 65,536 rows and
+    tested in numpy; only those that do not plainly hold become objects.
     """
     if budget < 1:
         raise ValidationError(f"search budget must be >= 1, got {budget!r}")
@@ -308,11 +315,25 @@ def find_multiplicity_counterexample(
     if hi < lo:
         raise ValidationError(f"log10_range must be ordered, got {log10_range!r}")
     rng = stream(seed)
-    for _ in range(budget):
-        exponents = rng.uniform(lo, hi, size=8)
-        v = MultiplicityVector.from_iterable(10.0 ** exponents)
-        if not multiplicity_inequality(v, epsilon=epsilon).holds:
-            return v
+    drawn, size = 0, 1
+    while drawn < budget:
+        w = 10.0 ** rng.uniform(lo, hi, size=(min(size, budget - drawn), 8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # multiplicity_inequality's sides and margin, in the same IEEE operations.
+            lhs = w[:, 2] * w[:, 3]
+            rhs = w[:, 1] * w[:, 3] + w[:, 2] * w[:, 6]
+            valid = ((w > 0) & np.isfinite(w)).all(axis=1) & np.isfinite(lhs) & np.isfinite(rhs)
+            holds = valid & (rhs - lhs >= -TOL)
+        # Only the vectors that do not plainly hold become objects: each is
+        # checked by multiplicity_inequality, which returns the violator or
+        # raises the error an invalid vector raises.  The first vector is
+        # always checked, so a bad ``epsilon`` raises where it always did.
+        for i in range(len(w)) if drawn == 0 else np.flatnonzero(~holds).tolist():
+            v = MultiplicityVector.from_iterable(w[i])
+            if not multiplicity_inequality(v, epsilon=epsilon).holds:
+                return v
+        drawn += len(w)
+        size = min(2 * size, _SEARCH_BLOCK)
     return None
 
 

@@ -12,13 +12,16 @@ reproduce those numbers, since every table satisfies the inequality with
 margin (N_2 + N_7) / total >= 0.
 
 One float kernel, on plain direction tuples and with ``math`` only (numpy's
-ufuncs can differ from libm in the last bit), serves :func:`singlet_prediction`,
-:func:`wigner_point` and every scan step.  A brute-force oracle,
+ufuncs can differ from libm in the last bit), serves :func:`singlet_prediction`
+and :func:`wigner_point`; :func:`quantum_wigner_scan` runs the same operations
+inline, one loop that appends each step's numbers to the four columns of a
+:class:`WignerScan`, with no object per step.  A brute-force oracle,
 :func:`singlet_prediction_statevector`, evaluates projector expectation values
 on the explicit 4-component singlet state; the tests hold the two within 1e-12.
 
 The Monte Carlo sampler (:func:`singlet_sample`) keeps its tallies as one
-``(3, 3, 2, 2)`` count array, axis pair by sign pair, and its estimates use
+``(3, 3, 2, 2)`` count array, axis pair by sign pair, each pair's four sign
+counts taken from threshold counts of its uniform draws, and its estimates use
 the same binomial estimator as the reservoir's,
 :meth:`~bellstat.reservoir.EmpiricalEstimate.from_hits`.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,21 +141,51 @@ def wigner_point(
     return ScanPoint(theta, lhs, rhs, lhs > rhs + TOL)
 
 
-def quantum_wigner_scan(spacing: float, steps: int = 1) -> tuple[ScanPoint, ...]:
+@dataclass(frozen=True)
+class WignerScan:
+    """An inequality scan as four equal-length columns, one entry per step.
+    Iterating it gives the steps as :class:`ScanPoint` rows."""
+
+    theta: list[float]
+    lhs: list[float]
+    rhs: list[float]
+    violated: list[bool]
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __iter__(self) -> Iterator[ScanPoint]:
+        return map(ScanPoint, self.theta, self.lhs, self.rhs, self.violated)
+
+
+def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     """Scan the Wigner inequality on singlet predictions over coplanar axes.
 
-    Evaluates :func:`wigner_point` at theta = spacing/steps, ..., spacing on
-    coplanar axes with a-c and c-b angles theta (a-b angle 2*theta), giving
-    lhs = (1/2) sin^2(theta) and rhs = sin^2(theta/2): a violation is flagged
-    where 0 < theta < pi/2, except below theta ~ 2e-6, where the margin
-    lhs - rhs ~ theta^2 / 4 is under the 1e-12 tolerance.
+    Returns a :class:`WignerScan` of ``steps`` entries per column, with
+    theta = spacing/steps, ..., spacing on coplanar axes with a-c and c-b
+    angles theta (a-b angle 2*theta).  Each step is :func:`wigner_point`'s
+    check on the same float kernel, giving lhs = (1/2) sin^2(theta) and
+    rhs = sin^2(theta/2): a violation is flagged where 0 < theta < pi/2,
+    except below theta ~ 2e-6, where the margin lhs - rhs ~ theta^2 / 4 is
+    under the 1e-12 tolerance.
     """
     if not 0.0 < spacing < math.pi:
         raise ValidationError(f"spacing must be in (0, pi), got {spacing!r}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps!r}")
-    thetas = (float(spacing) * k / steps for k in range(1, steps + 1))
-    return tuple(wigner_point(*coplanar_directions(theta), theta) for theta in thetas)
+    scan = WignerScan([], [], [], [])
+    sin, angle = math.sin, direction_angle
+    for k in range(1, steps + 1):
+        theta = float(spacing) * k / steps
+        a, b, c = coplanar_directions(theta)
+        # The kernel's P(+u;+v) = (1/2) sin^2(angle / 2), written out per pair.
+        lhs = 0.5 * sin(angle(a, b) / 2.0) ** 2
+        rhs = 0.5 * sin(angle(a, c) / 2.0) ** 2 + 0.5 * sin(angle(c, b) / 2.0) ** 2
+        scan.theta.append(theta)
+        scan.lhs.append(lhs)
+        scan.rhs.append(rhs)
+        scan.violated.append(lhs > rhs + TOL)
+    return scan
 
 
 @dataclass(frozen=True)
@@ -189,6 +222,14 @@ class SingletSampleCounts:
     def alice_sign_marginal(self) -> float:
         """Fraction of all pairs where Alice measured +1."""
         return int(self.counts[:, :, 0].sum()) / self.n
+
+
+def _sign_counts(u: np.ndarray, thresholds: Sequence[float]) -> list[int]:
+    """Draws ``u`` per sign cell, in (+,+), (+,-), (-,+), (-,-) order, given
+    the three inner cumulative probabilities: a draw falls in cell j when it
+    is >= exactly j of them, as ``searchsorted(side="right")`` would place it."""
+    tails = [len(u), *(np.count_nonzero(u >= t) for t in thresholds), 0]
+    return [hi - lo for hi, lo in zip(tails, tails[1:])]
 
 
 def singlet_sample(
@@ -231,8 +272,5 @@ def singlet_sample(
             continue
         alice_axis, bob_axis = AXIS_LABELS[pair // 3], AXIS_LABELS[pair % 3]
         prediction = singlet_prediction(axes.axis(alice_axis), axes.axis(bob_axis))
-        thresholds = np.cumsum(prediction.as_tuple())
-        thresholds[-1] = 1.0
-        cells = np.searchsorted(thresholds, rng.random(m), side="right")
-        counts[pair] = np.bincount(cells, minlength=4)
+        counts[pair] = _sign_counts(rng.random(m), np.cumsum(prediction.as_tuple()[:3]))
     return SingletSampleCounts(counts=counts.reshape(3, 3, 2, 2), n=n, seed=seed)

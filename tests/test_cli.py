@@ -21,6 +21,7 @@ from bellstat.cli import (
     COMMANDS,
     MAX_ROWS,
     MAX_SAMPLES,
+    Columns,
     Command,
     RunReport,
     _csv_lines,
@@ -123,7 +124,7 @@ class TestConfigValidation:
         assert err.count("\n") == 1
         assert "steps" in err and "--axes-spacing" in err
         path.write_text(json.dumps({"axes": axes, "steps": 1, "samples": 100}))
-        assert len(run(resolve_config("quantum", str(path), {})).results["scan"]) == 1
+        assert len(run(resolve_config("quantum", str(path), {})).results["scan"]["lhs"]) == 1
 
     def test_quantum_needs_geometry(self):
         with pytest.raises(ValidationError):
@@ -415,11 +416,11 @@ class TestRun:
         config = resolve_config(
             "quantum", None, {"axes_spacing_deg": 60.0, "samples": 1000}
         )
-        report = run(config)
-        (point,) = report.results["scan"]
-        assert point["lhs"] == pytest.approx(0.375, abs=1e-12)
-        assert point["rhs"] == pytest.approx(0.25, abs=1e-12)
-        assert point["violated"] is True
+        scan = run(config).results["scan"]
+        (lhs,), (rhs,), (violated,) = scan["lhs"], scan["rhs"], scan["violated"]
+        assert lhs == pytest.approx(0.375, abs=1e-12)
+        assert rhs == pytest.approx(0.25, abs=1e-12)
+        assert violated is True
 
     def test_quantum_explicit_axes(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -427,9 +428,8 @@ class TestRun:
             json.dumps({"axes": {"a": [0, 0, 1], "b": [0, 1, 0], "c": [1, 0, 0]}, "samples": 100})
         )
         config = resolve_config("quantum", str(path), {})
-        report = run(config)
-        (point,) = report.results["scan"]
-        assert point["theta_deg"] == pytest.approx(90.0, abs=1e-9)
+        (theta_deg,) = run(config).results["scan"]["theta_deg"]
+        assert theta_deg == pytest.approx(90.0, abs=1e-9)
 
     @pytest.mark.parametrize("spacing_deg", [30.0, 60.0, 90.0, 135.0])
     def test_explicit_axes_match_axes_spacing(self, spacing_deg):
@@ -438,16 +438,16 @@ class TestRun:
         spaced = run(
             resolve_config("quantum", None, {"axes_spacing_deg": spacing_deg, "samples": 100})
         )
-        (a,) = explicit.results["scan"]
-        (b,) = spaced.results["scan"]
-        assert (a["lhs"], a["rhs"], a["violated"]) == (b["lhs"], b["rhs"], b["violated"])
+        a, b = explicit.results["scan"], spaced.results["scan"]
+        for key in ("lhs", "rhs", "violated"):
+            assert len(a[key]) == 1 and a[key] == b[key]
         assert a["theta_deg"] == pytest.approx(b["theta_deg"], abs=1e-9)
 
     def test_drain_reaches_certainty(self):
         config = resolve_config("drain", None, {"table": "2,1,0,0,0,0,0,0"})
         report = run(config)
         assert report.results["final_conditional_probability"] == 1.0
-        assert len(report.results["steps"]) == 3
+        assert report.results["steps"]["step"] == [1, 2, 3]
 
     def test_simulate_estimates_carry_references(self):
         config = resolve_config(
@@ -513,7 +513,15 @@ class TestEmission:
     def test_empty_trajectory_gives_header_only_csv(self):
         report = RunReport(
             config={"command": "drain"},
-            results={"steps": [], "initial_total": 0, "final_conditional_probability": None},
+            results={
+                "steps": Columns(
+                    step=[], population=[],
+                    conditional_probabilities=np.empty((0, 8)),
+                    remaining=np.empty((0, 8), dtype=np.int64),
+                ),
+                "initial_total": 0,
+                "final_conditional_probability": None,
+            },
             meta={},
         )
         text = emit(report, "csv")
@@ -675,7 +683,7 @@ class TestStableWriter:
         {"values": [-math.inf]},
     ])
     def test_non_finite_result_exits_2(self, monkeypatch, capsys, results):
-        fake = Command(help="", run=lambda config: results, csv_header=(), csv_rows=list)
+        fake = Command(help="", run=lambda config: results, csv_header=(), csv_columns=list)
         monkeypatch.setitem(COMMANDS, "exact", fake)
         assert main(["exact", "--config", "wigner-uniform"]) == 2
         err = capsys.readouterr().err
@@ -743,8 +751,10 @@ class TestStableWriter:
             dumps_stable({"steps": steps})
         fake = Command(
             help="", run=lambda config: {"steps": steps}, csv_header=("step",),
-            csv_rows=lambda results: [[s["step"], *s["conditional_probabilities"]]
-                                      for s in results["steps"]],
+            csv_columns=lambda results: [
+                [s["step"] for s in results["steps"]],
+                np.array([s["conditional_probabilities"] for s in results["steps"]]),
+            ],
         )
         monkeypatch.setitem(COMMANDS, "exact", fake)
         for fmt in ("json", "csv"):
@@ -785,18 +795,101 @@ def _csv_tables(draw):
     return [f"c{i}" for i in range(len(kinds))], rows
 
 
+def _columns_of(rows):
+    """The columns of equal-length CSV rows."""
+    return [list(column) for column in zip(*rows)]
+
+
 class TestCsvWriter:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(table=_csv_tables())
     def test_matches_the_per_cell_writer(self, table):
-        assert _csv_lines(*table) == reference_csv(*table)
+        header, rows = table
+        assert _csv_lines(header, _columns_of(rows)) == reference_csv(header, rows)
 
     @pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
     def test_non_finite_numbers_rejected(self, value):
         rows = [[1, 0.5, True]] * 1500
         rows[1200] = [2, value, False]
         with pytest.raises(ValidationError, match="non-finite"):
-            _csv_lines(("a", "b", "c"), rows)
+            _csv_lines(("a", "b", "c"), _columns_of(rows))
+
+
+_COLUMN_KINDS = ("float", "int", "bool", "float array", "int array")
+
+
+@st.composite
+def _column_tables(draw, sizes):
+    """A :class:`Columns` table with list columns of floats, ints or bools and
+    2-D float64 and int64 array columns, like the drain's and the scan's."""
+    n = draw(sizes)
+    width = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5))
+    keys = draw(st.lists(_KEYS, min_size=len(kinds), max_size=len(kinds), unique=True))
+    def column(kind):
+        if kind == "float array":
+            return np.array([[_float(rng) for _ in range(width)] for _ in range(n)])
+        if kind == "int array":
+            return np.array([[rng.randint(-2**63, 2**63 - 1) for _ in range(width)] for _ in range(n)])
+        return [_VALUES[kind](rng) for _ in range(n)]
+    return Columns((key, column(kind)) for key, kind in zip(keys, kinds))
+
+
+def _rows_of(columns):
+    """The row dicts and the CSV rows that a column table stands for."""
+    lists = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in columns.items()}
+    n = len(next(iter(lists.values())))
+    dicts = [{k: c[i] for k, c in lists.items()} for i in range(n)]
+    csv_rows = [
+        [x for c in lists.values() for x in (c[i] if isinstance(c[i], list) else [c[i]])]
+        for i in range(n)
+    ]
+    return dicts, csv_rows
+
+
+class TestColumnTable:
+    """:class:`Columns` is written as the list of row dicts it stands for."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        columns=_column_tables(
+            st.sampled_from([1, 1024, 1025]) | st.integers(1, 30) | st.integers(2049, 3100)
+        ),
+        indent=st.integers(0, 3),
+    )
+    def test_matches_the_reference_writers(self, columns, indent):
+        dicts, csv_rows = _rows_of(columns)
+        assert dumps_stable(columns, indent) == reference_dumps(dicts, indent)
+        assert dumps_stable({"rows": columns}, indent) == reference_dumps({"rows": dicts}, indent)
+        header = [f"c{i}" for i in range(len(csv_rows[0]))]
+        assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
+
+    def test_no_rows_is_an_empty_list(self):
+        empty = Columns(a=[], b=np.empty((0, 3)))
+        assert dumps_stable(empty) == "[]"
+        assert dumps_stable({"a": empty}) == '{\n  "a": []\n}'
+        assert _csv_lines(("a",), list(empty.values())) == "a\n"
+
+    def test_numpy_scalars_in_a_list_column_are_rejected(self):
+        with pytest.raises(ValidationError, match="cannot serialize int64"):
+            dumps_stable(Columns(a=[1, np.int64(2)]))
+
+    def test_non_finite_in_an_array_column_of_a_late_block(self, monkeypatch, capsys):
+        probabilities = np.full((2000, 8), 0.125)
+        probabilities[1499, 5] = math.nan
+        steps = Columns(step=list(range(1, 2001)), conditional_probabilities=probabilities)
+        with pytest.raises(ValidationError, match="non-finite"):
+            dumps_stable({"steps": steps})
+        fake = Command(
+            help="", run=lambda config: {"steps": steps}, csv_header=("step",),
+            csv_columns=lambda results: list(results["steps"].values()),
+        )
+        monkeypatch.setitem(COMMANDS, "exact", fake)
+        for fmt in ("json", "csv"):
+            assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 2
+            err = capsys.readouterr().err
+            assert err == "bellstat: cannot serialize non-finite number nan\n"
 
 
 def sha256(text):
@@ -854,7 +947,7 @@ class TestPresets:
         config = resolve_config("drain", "marble-bag", {})
         report = run(config)
         assert report.results["final_conditional_probability"] == 1.0
-        assert len(report.results["steps"]) == report.results["initial_total"]
+        assert len(report.results["steps"]["step"]) == report.results["initial_total"]
 
 
 class TestCommandLine:

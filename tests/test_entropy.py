@@ -31,6 +31,7 @@ from bellstat import (
     multiplicity_probability,
     product_inequality,
 )
+from bellstat.rng import stream
 
 positive_omegas = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
 omega_vectors = st.tuples(*([positive_omegas] * 8))
@@ -363,6 +364,65 @@ class TestCounterexampleSearch:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValidationError):
             find_multiplicity_counterexample(0)
+
+
+def reference_search(budget, seed=0, log10_range=(-1.0, 2.0), epsilon=0.05):
+    """The one-vector-at-a-time search that the blockwise search replaced."""
+    lo, hi = log10_range
+    rng = stream(seed)
+    for _ in range(budget):
+        v = MultiplicityVector.from_iterable(10.0 ** rng.uniform(lo, hi, size=8))
+        if not multiplicity_inequality(v, epsilon=epsilon).holds:
+            return v
+    return None
+
+
+def outcome(search, *args, **kwargs):
+    """The vector a search returns, or the type and message of what it raises."""
+    try:
+        return search(*args, **kwargs)
+    except (ValidationError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockwiseSearch:
+    """The blockwise search returns the vector, or raises the error, that the
+    one-vector loop did: on 200 seeds, at budgets inside and across blocks."""
+
+    @pytest.mark.parametrize("budget, log10_range", [
+        (1, (-1.0, 2.0)),
+        (2, (-1.0, 2.0)),
+        (7, (-1.0, 2.0)),
+        (300, (0.0, 0.4)),  # hits spread over blocks 1 to 256, and 83 misses
+        (300, (-0.02, 0.02)),  # no violator exists
+    ])
+    def test_same_vector_on_200_seeds(self, budget, log10_range):
+        for seed in range(200):
+            found = find_multiplicity_counterexample(budget, seed=seed, log10_range=log10_range)
+            assert found == reference_search(budget, seed=seed, log10_range=log10_range)
+
+    def test_late_hits(self):
+        """Vectors 1,101 and 81,519 of seeds 2 and 3, inside the 1,024-row and
+        the 65,536-row block; the budget ends inside the latter."""
+        for seed in (2, 3):
+            found = find_multiplicity_counterexample(90_000, seed=seed, log10_range=(0.0, 0.32))
+            assert found is not None
+            assert found == reference_search(90_000, seed=seed, log10_range=(0.0, 0.32))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    @pytest.mark.parametrize("kwargs", [
+        {"log10_range": (-330.0, -300.0)},  # entries underflow to 0
+        {"log10_range": (150.0, 320.0)},  # entries or products overflow
+        {"log10_range": (-1.0, 330.0)},
+        {"log10_range": (-1e308, 1e308)},  # the range itself overflows
+        {"epsilon": -1.0},
+        {"epsilon": -1.0, "log10_range": (0.0, 0.0)},  # raises though no vector violates
+        {"epsilon": math.nan, "log10_range": (-400.0, -350.0)},
+    ])
+    def test_same_errors(self, kwargs):
+        for seed in range(200):
+            expected = outcome(reference_search, 40, seed=seed, **kwargs)
+            assert outcome(find_multiplicity_counterexample, 40, seed=seed, **kwargs) == expected
 
 
 class TestEntropyRatios:

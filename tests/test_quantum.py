@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellstat import (
+    AXIS_LABELS,
     Axis,
     AxisTriple,
     PairOutcome,
@@ -23,6 +24,8 @@ from bellstat import (
     wigner_check,
     wigner_check_probabilities,
 )
+from bellstat.quantum import _sign_counts
+from bellstat.rng import stream
 
 AB = PairOutcome("a", +1, "b", +1)
 
@@ -135,6 +138,15 @@ class TestWignerScan:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValidationError):
             quantum_wigner_scan(1.0, steps=0)
+
+
+class TestScanColumns:
+    def test_columns_are_the_points(self):
+        scan = quantum_wigner_scan(math.radians(137), 1001)
+        assert len(scan) == 1001
+        assert list(scan) == list(zip(scan.theta, scan.lhs, scan.rhs, scan.violated))
+        assert {type(x) for x in scan.theta + scan.lhs + scan.rhs} == {float}
+        assert {type(x) for x in scan.violated} == {bool}
 
 
 class TestPinnedScan:
@@ -270,6 +282,65 @@ class TestPinnedCounts:
                 assert counts.sum() == n
                 digest.update(counts.tobytes())
         assert digest.hexdigest() == self.DIGESTS[policy, spacing_deg]
+
+
+def reference_sign_counts(u, thresholds):
+    """The ``searchsorted`` + ``bincount`` cell tally that threshold counts replaced."""
+    edges = np.append(thresholds, 1.0)
+    return np.bincount(np.searchsorted(edges, u, side="right"), minlength=4).tolist()
+
+
+def reference_singlet_counts(axes, n, seed, policy="uniform"):
+    """The sampler before threshold counts, on the same stream."""
+    rng = stream(seed)
+    if policy == "uniform":
+        choices = rng.integers(0, 3, size=(n, 2))
+        per_pair = np.bincount(3 * choices[:, 0] + choices[:, 1], minlength=9)
+    else:
+        per_pair = np.zeros(9, dtype=np.int64)
+        per_pair[3 * AXIS_LABELS.index(policy[0]) + AXIS_LABELS.index(policy[1])] = n
+    counts = np.zeros((9, 4), dtype=np.int64)
+    for pair, m in enumerate(per_pair.tolist()):
+        if m:
+            prediction = singlet_prediction(
+                axes.axis(AXIS_LABELS[pair // 3]), axes.axis(AXIS_LABELS[pair % 3])
+            )
+            thresholds = np.cumsum(prediction.as_tuple())[:3]
+            counts[pair] = reference_sign_counts(rng.random(m), thresholds)
+    return counts.reshape(3, 3, 2, 2)
+
+
+class TestSignCounts:
+    """Threshold counts place every draw in the cell ``searchsorted`` did."""
+
+    @pytest.mark.parametrize("probabilities", [
+        (0.125, 0.375, 0.375, 0.125),
+        (0.0, 0.5, 0.5, 0.0),  # theta = 0: two empty cells, tied thresholds
+        (0.5, 0.0, 0.0, 0.5),  # theta = pi: the middle cells are empty
+        (0.25, 0.25, 0.25, 0.25),
+        (0.0, 0.0, 0.0, 1.0),
+    ])
+    def test_ties_at_the_thresholds_and_empty_cells(self, probabilities):
+        thresholds = np.cumsum(probabilities[:3])
+        u = np.concatenate([
+            np.random.default_rng(0).random(1000),
+            thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[u < 1.0]
+        assert _sign_counts(u, thresholds) == reference_sign_counts(u, thresholds)
+
+    @pytest.mark.parametrize("geometry", [
+        AxisTriple.coplanar(math.radians(60)),
+        AxisTriple.coplanar(1e-9),  # theta -> 0
+        AxisTriple.coplanar(math.pi / 2 - 1e-9),  # a-b angle -> pi
+        AxisTriple(Axis("a", (0.0, 0.0, 1.0)), Axis("b", (0.0, 0.0, -1.0)), Axis("c", (1.0, 0.0, 0.0))),
+    ])
+    @pytest.mark.parametrize("policy", ["uniform", ("a", "b"), ("c", "c")])
+    def test_sampler_matches_the_searchsorted_sampler(self, geometry, policy):
+        for seed in (0, 1, 2**64 - 1):
+            counts = singlet_sample(geometry, 30_001, seed, policy).counts
+            assert np.array_equal(counts, reference_singlet_counts(geometry, 30_001, seed, policy))
 
 
 class TestClassicalUnreachability:
