@@ -15,9 +15,14 @@ import pytest
 
 from bellstat.cli import dumps_stable, main
 
-# Finite mode has no flag, so this case reads a config file; ``None`` in its
-# argv stands for that file's path.
+# Finite mode and explicit axes have no flag, so these cases read a config
+# file; a dict in their argv stands for the path of a file holding it.
 FINITE_SIMULATE = {"table": [3, 2, 2, 1, 1, 2, 3, 2], "mode": "finite", "samples": 12, "seed": 9}
+EXPLICIT_AXES = {
+    "axes": {"a": [1, 0, 0], "b": [0.28, 0.96, 0], "c": [0.8, 0.6, 0]},
+    "samples": 5000,
+    "seed": 7,
+}
 
 # name -> (argv, sha256 of the JSON without meta, sha256 of the CSV)
 CASES = {
@@ -47,7 +52,7 @@ CASES = {
         "697f10e73819c951c893a2234316f485b88d4ccf148527ec50509ee847632614",
     ),
     "finite-simulate": (
-        ["simulate", "--config", None],
+        ["simulate", "--config", FINITE_SIMULATE],
         "66bfbbb4208ce5da5ec1663f71f10da05078fe42397877b037cb513dd2b814b7",
         "4588a970f25adca001e2ca19cdae5e89cae751f098a61e2f10157d90b68818e1",
     ),
@@ -61,6 +66,24 @@ CASES = {
         "2e633e2ec8226247b9560464cff86d413dae63d1c9e4fada9463997193409ecc",
         "972bbdf16c69a1368c9529a09b203b2218c16b41722c42075505de6d53cc7667",
     ),
+    # The only report with ``note``; the precondition is false, and the
+    # product and entropy forms fail.
+    "entropy-unequal": (
+        ["entropy", "--omegas", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,2"],
+        "8410af71e9bda075aa6c13142b360792144cf1fad69e3858e052f4dc65e17d0d",
+        "a2788591089ea3ff01d8945925a6c65fcb172436a38ddec670aa301d6d245fe0",
+    ),
+    # Precondition true, zero margins and ``entropy_ratios: null``.
+    "entropy-equal": (
+        ["entropy", "--omegas", "1,1,1,1,1,1,1,1"],
+        "a597ab111387c31414e480487167e9633332cf0996e776e23d3529071056721e",
+        "f85382092adb162e2889bdc2ab5a57beadaba0f9fc580c1ffb7f1f8abb1430a5",
+    ),
+    "quantum-explicit-axes": (
+        ["quantum", "--config", EXPLICIT_AXES],
+        "afe308ec69824592526c850e2c9f988907bfedc43eb0a994d62e8ffcd79b161c",
+        "57b863abbb8081e23fc26b0a2ee9e246707c451aa2eabb9bfbcb134f6be73c75",
+    ),
 }
 
 
@@ -71,9 +94,11 @@ def sha256(text):
 @pytest.mark.parametrize("name", CASES)
 def test_report_bytes_are_pinned(name, tmp_path, capsys):
     argv, json_digest, csv_digest = CASES[name]
-    path = tmp_path / "finite.json"
-    path.write_text(json.dumps(FINITE_SIMULATE))
-    argv = [str(path) if a is None else a for a in argv]
+    path = tmp_path / "config.json"
+    for a in argv:
+        if isinstance(a, dict):
+            path.write_text(json.dumps(a))
+    argv = [str(path) if isinstance(a, dict) else a for a in argv]
 
     assert main(argv + ["--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
