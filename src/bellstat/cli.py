@@ -21,7 +21,9 @@ Sizes are capped where memory or report rows would run away: ``samples`` at
 A single JSON config file can carry every option; command-line flags
 override file values, which override defaults (seed 42, samples 100000,
 epsilon 0.05, policy equal).  ``--config`` also accepts a shipped preset
-name: wigner-uniform, marble-bag, quantum-60, counterexample-search.
+name: wigner-uniform, marble-bag, quantum-60, counterexample-search.  An
+input given twice exits 2, never keeps one value silently: a key repeated in
+a config file, explicit axes with an axes spacing, omegas with a table.
 
 Reports have a stable top-level schema ``{config, results, meta}``
 (schema id bellstat-report/1).  Identical configs yield byte-identical
@@ -30,11 +32,12 @@ duration and worker count live in ``meta`` only.  Floats are emitted with 17
 significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
 :func:`dumps_stable`, fills a cached template per dict shape.  Report rows
 (scan points, drain steps) are handed over as a :class:`Columns` table, key ->
-column, and a plain list of same-keyed dicts is turned into one; each block
-of up to 1024 rows becomes one string through one row template and one
-``%``: float and int columns, and columns of equal-length float or int lists
-(2-D arrays included), are formatted by the ``%`` itself; any other column is
-inserted as its value texts.  Each command's CSV is a list of such columns.
+column: a list, or a 2-D array of the rows' number lists.  Any other list,
+short lists of dicts included, is written value by value.  Each command's CSV
+is a list of such columns.  JSON rows and CSV lines share one block pass:
+each block of up to 1024 rows becomes one string through one row template and
+one ``%``, number columns formatted by the ``%`` itself and any other column
+inserted as its value texts.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -57,6 +60,7 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .populations import (
+    TOL,
     Axis,
     AxisTriple,
     InequalityReport,
@@ -76,7 +80,7 @@ from .entropy import (
     multiplicity_inequality,
     product_inequality,
 )
-from .quantum import quantum_wigner_scan, singlet_prediction, singlet_sample, wigner_point
+from .quantum import quantum_wigner_scan, singlet_prediction, singlet_sample
 from .reservoir import (
     EmpiricalEstimate,
     ReservoirSpec,
@@ -144,12 +148,16 @@ class ExperimentConfig:
             raise ValidationError(f"command {self.command!r} requires a population table")
         if self.command == "quantum" and self.axes_spacing_deg is None and self.axes is None:
             raise ValidationError("command 'quantum' requires --axes-spacing or explicit axes")
+        if self.command == "quantum" and self.axes is not None and self.axes_spacing_deg is not None:
+            raise ValidationError("command 'quantum' takes --axes-spacing or explicit axes, not both")
         if self.command == "quantum" and self.axes is not None and self.steps > 1:
             raise ValidationError(
                 f"steps applies only to --axes-spacing scans, got {self.steps} with explicit axes"
             )
         if self.command == "entropy" and self.omegas is None and self.table is None:
             raise ValidationError("command 'entropy' requires --omegas or a table to derive them")
+        if self.command == "entropy" and self.omegas is not None and self.table is not None:
+            raise ValidationError("command 'entropy' takes --omegas or a table, not both")
         if self.command == "simulate" and self.mode == "finite":
             assert self.table is not None
             if self.samples > self.table.total:
@@ -222,21 +230,31 @@ def _texts(values: Sequence[Any], indent: int) -> list[str]:
     return list(map(to_text, values)) if to_text else [dumps_stable(v, indent) for v in values]
 
 
-def _column(values: Sequence[Any], indent: int) -> tuple[str, list[Sequence[Any]]]:
-    """The template piece of one column of values at ``indent`` and the value
-    columns that fill it: a number column fills in the ``%``, a column of
-    equal-length numeric lists spreads over one value column per element, and
-    any other column is filled with its ``_texts``."""
-    if (piece := _number(values)) is not None:
-        return piece, [values]
-    n = len(values[0]) if type(values[0]) is list else 0
-    if n and all(type(v) is list and len(v) == n for v in values):
-        elements = list(zip(*values))
-        pieces = list(map(_number, elements))
-        if None not in pieces:
-            inner = "\n" + "  " * (indent + 1)
-            return "[" + ",".join(inner + p for p in pieces) + "\n" + "  " * indent + "]", elements
-    return "%s", [_texts(values, indent)]
+def _blocks(
+    columns: Sequence[Sequence[Any] | np.ndarray], texts: Callable[[Sequence[Any]], list[str]]
+) -> Iterator[tuple[list[list[str]], list[Sequence[Any]]]]:
+    """Each block of up to 1024 rows of ``columns`` as the ``%`` pieces of
+    each column and the value columns that fill them.  A list is one value
+    column, a 2-D array one per array column (read once through
+    ``.T.tolist()``, so it is checked like a list).  A number column fills in
+    its ``%``; any other column is filled with its ``texts``."""
+    for i in range(0, len(columns[0]) if columns else 0, 1024):
+        pieces, values = [], []
+        for column in columns:
+            block, column_pieces = column[i:i + 1024], []
+            for cells in block.T.tolist() if isinstance(block, np.ndarray) else [block]:
+                piece = _number(cells)
+                column_pieces.append(piece or "%s")
+                values.append(cells if piece else texts(cells))
+            pieces.append(column_pieces)
+        yield pieces, values
+
+
+def _fill(row: str, sep: str, values: Sequence[Sequence[Any]]) -> str:
+    """``row`` once per block row, joined by ``sep``, filled row by row from
+    the value columns ``values`` in one ``%``."""
+    filled = tuple(chain.from_iterable(zip(*values, strict=True)))
+    return sep.join([row] * len(values[0])) % filled
 
 
 class Columns(dict):
@@ -247,33 +265,23 @@ class Columns(dict):
 
 
 def _rows(columns: Columns, indent: int) -> Iterator[str]:
-    """The rows at ``indent``, each block of up to 1024 rows as one string:
-    one row template repeated over the block, filled by one ``%``.  An array
-    block is read through ``.tolist()``, so it is checked like a list."""
+    """The rows at ``indent``, each block as one string: one row template,
+    with a ``[...]`` piece per array column, repeated over the block."""
     keys = sorted(columns)
     names = tuple(map(str, keys))
-    sep = ",\n" + "  " * indent
-    for i in range(0, len(columns[keys[0]]) if keys else 0, 1024):
-        pieces, values = [], []
-        for k in keys:
-            block = columns[k][i:i + 1024]
-            piece, cells = _column(
-                block.tolist() if isinstance(block, np.ndarray) else block, indent + 1
-            )
-            pieces.append(piece)
-            values.extend(cells)
-        row = _template(names, indent, tuple(pieces))
-        filled = tuple(chain.from_iterable(zip(*values, strict=True)))
-        yield sep.join([row] * len(values[0])) % filled
+    inner, close = "\n" + "  " * (indent + 2), "\n" + "  " * (indent + 1) + "]"
+    arrays = [isinstance(columns[k], np.ndarray) for k in keys]
+    for pieces, values in _blocks([columns[k] for k in keys], lambda c: _texts(c, indent + 1)):
+        row = _template(names, indent, tuple(
+            "[" + ",".join(inner + p for p in column) + close if array else column[0]
+            for array, column in zip(arrays, pieces)
+        ))
+        yield _fill(row, ",\n" + "  " * indent, values)
 
 
 def dumps_stable(obj: Any, indent: int = 0) -> str:
     if (to_text := _SCALARS.get(type(obj))) is not None:
         return to_text(obj)
-    if isinstance(obj, (list, tuple)) and obj and all(
-        isinstance(row, dict) and row and row.keys() == obj[0].keys() for row in obj
-    ):
-        obj = Columns((k, [row[k] for row in obj]) for k in obj[0])
     if isinstance(obj, (list, tuple, Columns)):
         items = list(_rows(obj, indent + 1) if isinstance(obj, Columns) else _texts(obj, indent + 1))
         if not items:
@@ -304,23 +312,11 @@ def _csv_cell(v: Any) -> str:
 
 def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]) -> str:
     """The header line, then the rows of ``columns`` (each a list of cells,
-    or a 2-D array that fills one CSV column per array column), each block of
-    up to 1024 rows as one string through one row template: a number column
-    fills in the ``%``, any other column with its ``_csv_cell`` texts."""
+    or a 2-D array that fills one CSV column per array column), each block
+    as one string through one ``,``-joined row template."""
     lines = [",".join(header)]
-    for i in range(0, len(columns[0]) if columns else 0, 1024):
-        pieces, values = [], []
-        for column in columns:
-            block = column[i:i + 1024]
-            for cells in block.T.tolist() if isinstance(block, np.ndarray) else [block]:
-                piece = _number(cells)
-                if piece is None:
-                    piece, cells = "%s", list(map(_csv_cell, cells))
-                pieces.append(piece)
-                values.append(cells)
-        row = ",".join(pieces)
-        filled = tuple(chain.from_iterable(zip(*values, strict=True)))
-        lines.append("\n".join([row] * len(values[0])) % filled)
+    for pieces, values in _blocks(columns, lambda c: list(map(_csv_cell, c))):
+        lines.append(_fill(",".join(chain.from_iterable(pieces)), "\n", values))
     return "\n".join(lines) + "\n"
 
 
@@ -527,32 +523,36 @@ COMMANDS["drain"] = Command(
 
 
 def _run_quantum(config: ExperimentConfig) -> dict:
+    axes = config.axes
+    if axes is None:
+        assert config.axes_spacing_deg is not None
+        axes = AxisTriple.coplanar(math.radians(config.axes_spacing_deg))
+    # P(+a;+b), P(+a;+c) and P(+c;+b): the sampler's references, and the
+    # inequality's terms at explicit axes.
+    references = [
+        singlet_prediction(axes.axis(o.alice_axis), axes.axis(o.bob_axis))
+        .probability(o.alice_sign, o.bob_sign)
+        for o in WIGNER_OUTCOMES
+    ]
     if config.axes is not None:
-        axes = config.axes
-        theta = axes.angle("a", "c")
-        point = wigner_point(axes.a.direction, axes.b.direction, axes.c.direction, theta)
+        lhs, rhs = references[0], references[1] + references[2]
         scan = Columns(
-            theta_deg=[math.degrees(theta)],
-            lhs=[point.lhs], rhs=[point.rhs], violated=[point.violated],
+            theta_deg=[math.degrees(axes.angle("a", "c"))],
+            lhs=[lhs], rhs=[rhs], violated=[lhs > rhs + TOL],
         )
     else:
         deg, steps = config.axes_spacing_deg, config.steps
-        assert deg is not None
-        spacing = math.radians(deg)
-        axes = AxisTriple.coplanar(spacing)
-        points = quantum_wigner_scan(spacing, steps)
+        points = quantum_wigner_scan(math.radians(deg), steps)
         scan = Columns(
             theta_deg=[deg * k / steps for k in range(1, steps + 1)],
             lhs=points.lhs, rhs=points.rhs, violated=points.violated,
         )
 
     counts = singlet_sample(axes, config.samples, config.seed)
-    estimates = []
-    for outcome in WIGNER_OUTCOMES:
-        predicted = singlet_prediction(
-            axes.axis(outcome.alice_axis), axes.axis(outcome.bob_axis)
-        ).probability(outcome.alice_sign, outcome.bob_sign)
-        estimates.append(_estimate_dict(counts.estimate(outcome), reference=predicted))
+    estimates = [
+        _estimate_dict(counts.estimate(outcome), reference=reference)
+        for outcome, reference in zip(WIGNER_OUTCOMES, references)
+    ]
     return {
         "scan": scan,
         "sampler": {"n": counts.n, "estimates": estimates},
@@ -670,17 +670,29 @@ def _parse_list(text: str, what: str, convert: Callable[[str], Any]) -> list:
         raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A config file's JSON object, whose keys must each appear once."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValidationError(f"repeats key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_config_file(ref: str) -> dict:
     if ref in PRESET_NAMES:
         return load_preset(ref)
     try:
         with open(ref, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(
             f"config {ref!r} is neither a readable file nor a preset "
             f"({exc.strerror}; presets: {', '.join(PRESET_NAMES)})"
         ) from None
+    except ValidationError as exc:  # a repeated key
+        raise ValidationError(f"config file {ref!r} {exc}") from None
     except ValueError as exc:  # JSONDecodeError, bad UTF-8, over-long integers
         raise ValidationError(f"config file {ref!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

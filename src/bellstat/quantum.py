@@ -12,10 +12,10 @@ reproduce those numbers, since every table satisfies the inequality with
 margin (N_2 + N_7) / total >= 0.
 
 One float kernel, on plain direction tuples and with ``math`` only (numpy's
-ufuncs can differ from libm in the last bit), serves :func:`singlet_prediction`
-and :func:`wigner_point`; :func:`quantum_wigner_scan` runs the same operations
-inline, one loop that appends each step's numbers to the four columns of a
-:class:`WignerScan`, with no object per step.  A brute-force oracle,
+ufuncs can differ from libm in the last bit), is :func:`singlet_prediction`;
+:func:`quantum_wigner_scan` runs the same operations inline, one loop that
+appends each step's numbers to the four columns of a :class:`WignerScan`,
+with no object per step.  A brute-force oracle,
 :func:`singlet_prediction_statevector`, evaluates projector expectation values
 on the explicit 4-component singlet state; the tests hold the two within 1e-12.
 
@@ -78,15 +78,11 @@ class SingletPrediction:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
 
-def _singlet(u: Sequence[float], v: Sequence[float]) -> tuple[float, float]:
-    """The float kernel: (P(+u;+v), P(+u;-v)) for unit direction tuples u, v."""
-    theta = direction_angle(u, v)
-    return 0.5 * math.sin(theta / 2.0) ** 2, 0.5 * math.cos(theta / 2.0) ** 2
-
-
 def singlet_prediction(axis1: Axis, axis2: Axis) -> SingletPrediction:
-    """Singlet joint probabilities for Alice along axis1, Bob along axis2."""
-    same, diff = _singlet(axis1.direction, axis2.direction)
+    """Singlet joint probabilities for Alice along axis1, Bob along axis2:
+    the float kernel on the axes' unit direction tuples."""
+    theta = direction_angle(axis1.direction, axis2.direction)
+    same, diff = 0.5 * math.sin(theta / 2.0) ** 2, 0.5 * math.cos(theta / 2.0) ** 2
     return SingletPrediction(p_pp=same, p_pm=diff, p_mp=diff, p_mm=same)
 
 
@@ -130,17 +126,6 @@ class ScanPoint(NamedTuple):
     violated: bool
 
 
-def wigner_point(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float], theta: float
-) -> ScanPoint:
-    """Wigner check P(+a;+b) <= P(+a;+c) + P(+c;+b) on singlet predictions
-    for the unit directions of axes a, b, c, labelled with the a-c angle
-    ``theta``.  Violation is flagged where lhs > rhs + 1e-12."""
-    lhs = _singlet(a, b)[0]
-    rhs = _singlet(a, c)[0] + _singlet(c, b)[0]
-    return ScanPoint(theta, lhs, rhs, lhs > rhs + TOL)
-
-
 @dataclass(frozen=True)
 class WignerScan:
     """An inequality scan as four equal-length columns, one entry per step.
@@ -163,9 +148,10 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
 
     Returns a :class:`WignerScan` of ``steps`` entries per column, with
     theta = spacing/steps, ..., spacing on coplanar axes with a-c and c-b
-    angles theta (a-b angle 2*theta).  Each step is :func:`wigner_point`'s
-    check on the same float kernel, giving lhs = (1/2) sin^2(theta) and
-    rhs = sin^2(theta/2): a violation is flagged where 0 < theta < pi/2,
+    angles theta (a-b angle 2*theta).  Each step checks
+    P(+a;+b) <= P(+a;+c) + P(+c;+b) with :func:`singlet_prediction`'s float
+    kernel, giving lhs = (1/2) sin^2(theta) and rhs = sin^2(theta/2), and
+    flags lhs > rhs + 1e-12: a violation is flagged where 0 < theta < pi/2,
     except below theta ~ 2e-6, where the margin lhs - rhs ~ theta^2 / 4 is
     under the 1e-12 tolerance.
     """

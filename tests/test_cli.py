@@ -126,6 +126,31 @@ class TestConfigValidation:
         path.write_text(json.dumps({"axes": axes, "steps": 1, "samples": 100}))
         assert len(run(resolve_config("quantum", str(path), {})).results["scan"]["lhs"]) == 1
 
+    @pytest.mark.parametrize("argv, config_text, needle", [
+        (["quantum"], '{"axes": {"a": [0, 0, 1], "b": [0, 1, 0], "c": [1, 0, 0]}, '
+         '"axes_spacing_deg": 30}', "not both"),
+        (["quantum", "--axes-spacing", "30"],
+         '{"axes": {"a": [0, 0, 1], "b": [0, 1, 0], "c": [1, 0, 0]}}', "not both"),
+        (["entropy", "--omegas", "1,1,1,1,1,1,1,2", "--table", "1,1,1,1,1,1,1,1"], None,
+         "not both"),
+        (["entropy"], '{"omegas": [1, 1, 1, 1, 1, 1, 1, 2], "table": [1, 1, 1, 1, 1, 1, 1, 1]}',
+         "not both"),
+        (["simulate"], '{"table": [1, 1, 1, 1, 1, 1, 1, 1], "samples": 5, "samples": 7}',
+         "repeats key 'samples'"),
+        (["quantum"], '{"axes": {"a": [0, 0, 1], "a": [0, 1, 0], "b": [0, 1, 0], '
+         '"c": [1, 0, 0]}}', "repeats key 'a'"),
+    ], ids=["axes-and-spacing", "axes-and-spacing-flag", "omegas-and-table-flags",
+            "omegas-and-table", "repeated-key", "repeated-nested-key"])
+    def test_an_input_given_twice_rejected(self, tmp_path, capsys, argv, config_text, needle):
+        if config_text is not None:
+            path = tmp_path / "twice.json"
+            path.write_text(config_text)
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bellstat: ") and err.count("\n") == 1
+        assert needle in err
+
     def test_quantum_needs_geometry(self):
         with pytest.raises(ValidationError):
             resolve_config("quantum", None, {})
