@@ -2,9 +2,10 @@
 
 Each case pins the SHA-256 of two documents: the JSON report with ``meta``
 dropped (``config`` and ``results`` through ``dumps_stable``), and the CSV
-report.  The digests were taken from the record-per-draw sampler that the
-columnar one replaced, so any refactor that moves a draw, a float digit or a
-key fails here.  A change that means to alter report bytes updates a digest
+report.  Each digest was taken before the refactor it guards (most from the
+record-per-draw sampler that the columnar one replaced, the entropy and
+explicit-axes ones from the writer that still turned row dicts into column
+tables), so any refactor that moves a draw, a float digit or a key fails here.  A change that means to alter report bytes updates a digest
 and says why.
 """
 
