@@ -317,7 +317,8 @@ def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarr
     lines = [",".join(header)]
     for pieces, values in _blocks(columns, lambda c: list(map(_csv_cell, c))):
         lines.append(_fill(",".join(chain.from_iterable(pieces)), "\n", values))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, inside the one join
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +417,16 @@ def _transposed(rows: Iterable[Sequence[Any]]) -> list[list[Any]]:
 def _run_exact(config: ExperimentConfig) -> dict:
     assert config.table is not None
     report = wigner_check(config.table)
-    probabilities = []
-    for outcome in WIGNER_OUTCOMES:
-        p = exact_probability(config.table, outcome)
-        probabilities.append(
-            {
-                "outcome": _outcome_dict(outcome),
-                "numerator": p.numerator,
-                "denominator": p.denominator,
-                "value": p.value,
-            }
-        )
+    # The check's terms are the exact probabilities, in WIGNER_OUTCOMES order.
+    probabilities = [
+        {
+            "outcome": _outcome_dict(t.outcome),
+            "numerator": t.numerator,
+            "denominator": t.denominator,
+            "value": t.value,
+        }
+        for t in report.terms
+    ]
     return {"wigner": _ineq_dict(report), "probabilities": probabilities}
 
 
@@ -663,13 +663,6 @@ def emit(report: RunReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_list(text: str, what: str, convert: Callable[[str], Any]) -> list:
-    try:
-        return [convert(x.strip()) for x in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from None
-
-
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A config file's JSON object, whose keys must each appear once."""
     data: dict[str, Any] = {}
@@ -693,31 +686,11 @@ def _load_config_file(ref: str) -> dict:
         ) from None
     except ValidationError as exc:  # a repeated key
         raise ValidationError(f"config file {ref!r} {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8, over-long integers
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or integer; too deep
         raise ValidationError(f"config file {ref!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config file {ref!r} must hold a JSON object")
     return data
-
-
-def _table_from(value: Any) -> PopulationTable:
-    if isinstance(value, PopulationTable):
-        return value
-    if isinstance(value, str):
-        value = _parse_list(value, "table", int)
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"table must be a list of 8 counts, got {value!r}")
-    return PopulationTable.from_counts(value)
-
-
-def _omegas_from(value: Any) -> MultiplicityVector:
-    if isinstance(value, MultiplicityVector):
-        return value
-    if isinstance(value, str):
-        value = _parse_list(value, "omegas", float)
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"omegas must be a list of 8 positive reals, got {value!r}")
-    return MultiplicityVector.from_iterable(map(_typed("omegas element", float), value))
 
 
 def _axes_from(value: Any) -> AxisTriple:
@@ -749,9 +722,29 @@ def _typed(key: str, kind: type) -> Callable[[Any], Any]:
     return convert
 
 
+def _list_input(
+    key: str, parse: type, shape: str, build: Callable[[Sequence[Any]], Any]
+) -> Callable[[Any], Any]:
+    """Accept ``key`` as a list, or as the comma-separated text of its flag
+    (each item read by ``parse``), and hand the list to ``build``."""
+    def convert(value: Any) -> Any:
+        if isinstance(value, str):
+            try:
+                value = [parse(x.strip()) for x in value.split(",")]
+            except ValueError as exc:
+                raise ValidationError(f"cannot parse {key} {value!r}: {exc}") from None
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{key} must be {shape}, got {value!r}")
+        return build(value)
+    return convert
+
+
 _CONVERTERS = {
-    "table": _table_from,
-    "omegas": _omegas_from,
+    "table": _list_input("table", int, "a list of 8 counts", PopulationTable.from_counts),
+    "omegas": _list_input(
+        "omegas", float, "a list of 8 positive reals",
+        lambda v: MultiplicityVector.from_iterable(map(_typed("omegas element", float), v)),
+    ),
     "axes": _axes_from,
     **{key: _typed(key, float) for key in ("axes_spacing_deg", "epsilon")},
     **{key: _typed(key, int) for key in ("steps", "samples", "seed")},

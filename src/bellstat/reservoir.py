@@ -21,9 +21,9 @@ counter-based RNG with a documented algorithm.  The stream for chunk ``c`` of
 master seed ``s`` uses Philox key ``c * 2**64 + s``.  Infinite-mode sampling
 is split into fixed chunks of 65536 draws whose boundaries depend only on the
 requested sample count.  Chunks are the unit of reproducibility, drawn one
-after another and concatenated in order, so a shorter run is a prefix of a
-longer one.  All draws resolve through integer thresholds (never float
-cumsums), so identical seeds give identical sequences.
+after another into consecutive slices of one array, so a shorter run is a
+prefix of a longer one.  All draws resolve through integer thresholds (never
+float cumsums), so identical seeds give identical sequences.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
     """Draw ``n`` pairs from the reservoir: the populations drawn (1-8), in
     step order, as a 1-D int64 array.
 
+    The array is allocated once and filled chunk by chunk in both modes.
     Infinite mode: i.i.d. categorical draws with probabilities N_i / total,
     one Philox sub-stream per chunk.  Finite mode: uniform draws without
     replacement from the bag, sequential by nature; :func:`remaining_counts`
@@ -112,23 +113,22 @@ def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
 
     counts = spec.composition.counts
     total = spec.composition.total
+    if spec.mode == "finite" and n > total:
+        raise ValidationError(f"cannot draw {n} pairs from a bag of {total}")
+    populations = np.empty(n, dtype=np.int64)
 
     if spec.mode == "infinite":
         thresholds = np.cumsum(counts)
-        parts = []
         for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
-            size = min(CHUNK_SIZE, n - start)
-            draws = stream(spec.seed, chunk).integers(0, total, size=size)
-            parts.append(np.searchsorted(thresholds, draws, side="right") + 1)
-        return np.concatenate(parts)
+            stop = min(start + CHUNK_SIZE, n)
+            draws = stream(spec.seed, chunk).integers(0, total, size=stop - start)
+            populations[start:stop] = np.searchsorted(thresholds, draws, side="right") + 1
+        return populations
 
     # finite mode: draw k is uniform below the total left before it (one call
     # per chunk of bounds gives the same integers as one call over all n, with
     # only a chunk of Python ints alive), and u < sum(current) stops the scan.
-    if n > total:
-        raise ValidationError(f"cannot draw {n} pairs from a bag of {total}")
     rng, current = stream(spec.seed), list(counts)
-    populations = np.empty(n, dtype=np.int64)
     for start in range(0, n, CHUNK_SIZE):
         stop, chunk = min(start + CHUNK_SIZE, n), []
         for u in rng.integers(0, np.arange(total - start, total - stop, -1)).tolist():

@@ -159,6 +159,10 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             resolve_config("exact", None, {})
 
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ValidationError, match="unknown command 'entangle'"):
+            resolve_config("entangle", None, {})
+
     def test_entropy_accepts_table_with_policy(self):
         config = resolve_config(
             "entropy", None, {"table": "1,1,1,1,1,1,1,1", "policy": "proportional"}
@@ -175,6 +179,8 @@ class TestConfigValidation:
             {"format": "yaml"},
             {"axes_spacing_deg": 180.0},
             {"axes_spacing_deg": 0.0},
+            {"steps": 0},
+            {"mode": "bogus"},
         ],
     )
     def test_bad_scalars_rejected(self, overrides):
@@ -235,6 +241,8 @@ class TestHardening:
                          f"bag of at most {MAX_ROWS} pairs", id="drain-total"),
             pytest.param(["drain", "--table", f"{MAX_ROWS},1,0,0,0,0,0,0"],
                          f"bag of at most {MAX_ROWS} pairs", id="drain-total-one-over"),
+            pytest.param(["exact", "--table", "1,1,1,1,1,1,1,1", "--workers", "0"],
+                         "workers must be >= 1", id="workers-zero"),
         ],
     )
     def test_sample_and_row_limits(self, capsys, argv, needle):
@@ -288,6 +296,11 @@ class TestHardening:
                          "epsilon must be a number, got None", id="epsilon-null"),
             pytest.param(["exact"], '{"table": [1' + "0" * 5000 + ", 1, 1, 1, 1, 1, 1, 1]}",
                          "is not valid JSON", id="count-5001-digits"),
+            pytest.param(["exact"], '{"table": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                         "is not valid JSON", id="config-100000-deep"),
+            pytest.param(["exact"], "[1, 2]", "must hold a JSON object", id="config-list"),
+            pytest.param(["quantum"], {"axes": {**AXES, "b": [0, 1]}},
+                         "axis 'b' must be a 3-vector", id="axis-2-vector"),
             pytest.param(["exact", "--config", "."], None,
                          "neither a readable file nor a preset", id="config-directory"),
             pytest.param(["exact", "--table", ONES, "--format", "xml"], None,
@@ -534,6 +547,11 @@ class TestEmission:
         parsed = json.loads(emit(report, "json"))
         assert parsed["results"]["omegas"] == report.results["omegas"]
         assert parsed["results"]["report"]["margin"] == report.results["report"]["margin"]
+
+    def test_unknown_format_rejected(self):
+        report = run(resolve_config("exact", None, {"table": "1,1,1,1,1,1,1,1"}))
+        with pytest.raises(ValidationError, match="unknown format 'xml'"):
+            emit(report, "xml")
 
     def test_empty_trajectory_gives_header_only_csv(self):
         report = RunReport(

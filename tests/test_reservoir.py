@@ -90,6 +90,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             sample(spec, 0)
 
+    def test_zero_workers_rejected(self):
+        spec = ReservoirSpec.infinite(PopulationTable.uniform(), seed=1)
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            sample(spec, 1, workers=0)
+
 
 class TestDeterminism:
     def test_finite_sequences_are_reproducible(self):
@@ -110,6 +115,18 @@ class TestDeterminism:
         spec = ReservoirSpec.infinite(PopulationTable.uniform(), seed=5)
         n = CHUNK_SIZE + 1234  # spans two chunks
         assert np.array_equal(sample(spec, n, workers=1), sample(spec, n, workers=4))
+
+    def test_infinite_chunks_follow_the_stream_contract(self):
+        # chunk c is the c-th slice of CHUNK_SIZE draws, from Philox key c * 2**64 + seed
+        bag = PopulationTable.from_counts((3, 1, 4, 1, 5, 9, 2, 6))
+        n = 2 * CHUNK_SIZE + 1234
+        populations = sample(ReservoirSpec.infinite(bag, seed=17), n)
+        assert populations.dtype == np.int64 and len(populations) == n
+        thresholds = np.cumsum(bag.counts)
+        for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
+            draws = stream(17, chunk).integers(0, bag.total, size=min(CHUNK_SIZE, n - start))
+            expected = np.searchsorted(thresholds, draws, side="right") + 1
+            assert np.array_equal(populations[start:start + CHUNK_SIZE], expected)
 
     def test_prefix_stability_across_lengths(self):
         # chunk boundaries depend only on position, so a shorter run is a prefix
