@@ -85,9 +85,10 @@ from .reservoir import (
     EmpiricalEstimate,
     ReservoirSpec,
     depletion_trajectory,
-    empirical_probability,
-    sample,
+    population_counts,
 )
+# Not called here: bench/spans.py wraps these two by name (see ROADMAP item 1).
+from .reservoir import empirical_probability, sample  # noqa: F401
 from .rng import validate_seed
 from .presets import PRESET_NAMES, load_preset
 
@@ -451,18 +452,18 @@ COMMANDS["exact"] = Command(
 def _run_simulate(config: ExperimentConfig) -> dict:
     assert config.table is not None
     spec = ReservoirSpec(config.mode, config.table, config.seed)  # type: ignore[arg-type]
-    draws = sample(spec, config.samples)
+    counts = population_counts(spec, config.samples)
     estimates = []
     p_hats = []
     for outcome in WIGNER_OUTCOMES:
-        est = empirical_probability(draws, outcome)
+        est = EmpiricalEstimate.from_counts(outcome, counts)
         exact = exact_probability(config.table, outcome).value
         estimates.append(_estimate_dict(est, reference=exact))
         p_hats.append(est.p_hat)
     empirical = wigner_check_probabilities(*p_hats)
     return {
         "mode": config.mode,
-        "draws": len(draws),
+        "draws": config.samples,
         "estimates": estimates,
         "empirical_wigner": _ineq_dict(empirical),
         "exact_wigner": _ineq_dict(wigner_check(config.table)),

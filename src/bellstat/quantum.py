@@ -21,9 +21,11 @@ on the explicit 4-component singlet state; the tests hold the two within 1e-12.
 
 The Monte Carlo sampler (:func:`singlet_sample`) keeps its tallies as one
 ``(3, 3, 2, 2)`` count array, axis pair by sign pair, each pair's four sign
-counts taken from threshold counts of its uniform draws, and its estimates use
-the same binomial estimator as the reservoir's,
-:meth:`~bellstat.reservoir.EmpiricalEstimate.from_hits`.
+counts taken by the reservoir's :func:`~bellstat.reservoir.threshold_counts`
+from its uniform draws, and its estimates use the same binomial estimator as
+the reservoir's, :meth:`~bellstat.reservoir.EmpiricalEstimate.from_hits`.  It
+draws its axis choices and each pair's uniforms in blocks of ``_BLOCK``
+values and adds up their counts, so no per-sample array outlives a block.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .populations import (
     coplanar_directions,
     direction_angle,
 )
-from .reservoir import EmpiricalEstimate
+from .reservoir import EmpiricalEstimate, threshold_counts
 from .rng import stream
 
 AxisChoicePolicy = Literal["uniform"] | tuple[AxisLabel, AxisLabel]
@@ -53,7 +55,11 @@ AxisChoicePolicy = Literal["uniform"] | tuple[AxisLabel, AxisLabel]
 #: Sign order along the last two axes of ``SingletSampleCounts.counts``.
 _SIGNS = (+1, -1)
 
-#: Rows per block when tallying axis pairs, bounding the pair-index temporary.
+#: Samples per draw call: axis choices are drawn ``(_BLOCK, 2)`` at a time and
+#: each pair's uniforms ``_BLOCK`` at a time.  Blocked calls give the same
+#: values as one call and leave the generator in the same state: uniforms take
+#: one 64-bit word each, and numpy takes the bounded axis choices from 32-bit
+#: halves whose spare half it keeps in the generator state between calls.
 _BLOCK = 65536
 
 
@@ -210,12 +216,9 @@ class SingletSampleCounts:
         return int(self.counts[:, :, 0].sum()) / self.n
 
 
-def _sign_counts(u: np.ndarray, thresholds: Sequence[float]) -> list[int]:
-    """Draws ``u`` per sign cell, in (+,+), (+,-), (-,+), (-,-) order, given
-    the three inner cumulative probabilities: a draw falls in cell j when it
-    is >= exactly j of them, as ``searchsorted(side="right")`` would place it."""
-    tails = [len(u), *(np.count_nonzero(u >= t) for t in thresholds), 0]
-    return [hi - lo for hi, lo in zip(tails, tails[1:])]
+def _blocks(n: int) -> list[int]:
+    """The sizes of ``n`` samples' draw calls: ``_BLOCK`` each but the last."""
+    return [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
 
 
 def singlet_sample(
@@ -237,11 +240,10 @@ def singlet_sample(
     rng = stream(seed)
 
     if policy == "uniform":
-        choices = rng.integers(0, 3, size=(n, 2))
-        per_pair = sum(  # pair index 3 * alice + bob, one block of rows at a time
-            np.bincount(3 * block[:, 0] + block[:, 1], minlength=9)
-            for block in np.split(choices, range(_BLOCK, n, _BLOCK))
-        )
+        per_pair = np.zeros(9, dtype=np.int64)
+        for size in _blocks(n):
+            choices = rng.integers(0, 3, size=(size, 2))  # pair index 3 * alice + bob
+            per_pair += np.bincount(3 * choices[:, 0] + choices[:, 1], minlength=9)
     elif (
         isinstance(policy, tuple)
         and len(policy) == 2
@@ -258,5 +260,7 @@ def singlet_sample(
             continue
         alice_axis, bob_axis = AXIS_LABELS[pair // 3], AXIS_LABELS[pair % 3]
         prediction = singlet_prediction(axes.axis(alice_axis), axes.axis(bob_axis))
-        counts[pair] = _sign_counts(rng.random(m), np.cumsum(prediction.as_tuple()[:3]))
+        thresholds = np.cumsum(prediction.as_tuple()[:3])
+        for size in _blocks(m):
+            counts[pair] += threshold_counts(rng.random(size), thresholds)
     return SingletSampleCounts(counts=counts.reshape(3, 3, 2, 2), n=n, seed=seed)

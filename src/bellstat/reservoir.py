@@ -9,28 +9,38 @@ Two source models:
   probabilities drift as the bag depletes, ending at exactly 1 for whichever
   population survives last.
 
-A sample is one column: the population (1-8) of each draw, in step order.
-For a finite bag, :func:`remaining_counts` rebuilds the counts around every
-draw from that column; the conditional probabilities are its rows over their
-sums.  A divergence report holds two arrays with one row per seed and one
-column per step.  Every empirical probability, here and in the quantum
-sampler, is the binomial estimate of :meth:`EmpiricalEstimate.from_hits`.
+``simulate`` reads only :func:`population_counts`, the eight per-population
+draw counts; in infinite mode they are folded chunk by chunk, so no per-draw
+array exists.  :func:`sample` is the per-draw column, for the drain, the
+divergence report and the tests: the population (1-8) of each draw, in step
+order.  For a finite bag, :func:`remaining_counts` rebuilds the counts around
+every draw from that column; the conditional probabilities are its rows over
+their sums.  A divergence report holds two arrays with one row per seed and
+one column per step.
+
+One threshold rule places every draw, here and in the quantum sampler: a draw
+lies in cell j when exactly j of the ascending inner thresholds are at or
+below it, as ``searchsorted(side="right")`` would place it.
+:func:`threshold_counts` counts the draws per cell by it.  Every empirical
+probability is the binomial estimate of :meth:`EmpiricalEstimate.from_hits`.
 
 Reproducibility contract: draws come from numpy's Philox generator, a
 counter-based RNG with a documented algorithm.  The stream for chunk ``c`` of
 master seed ``s`` uses Philox key ``c * 2**64 + s``.  Infinite-mode sampling
 is split into fixed chunks of 65536 draws whose boundaries depend only on the
 requested sample count.  Chunks are the unit of reproducibility, drawn one
-after another into consecutive slices of one array, so a shorter run is a
-prefix of a longer one.  All draws resolve through integer thresholds (never
-float cumsums), so identical seeds give identical sequences.
+after another into consecutive slices of one array (or folded into counts),
+so a shorter run is a prefix of a longer one.  All draws resolve through
+integer thresholds (never float cumsums), so identical seeds give identical
+sequences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from itertools import accumulate
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -94,6 +104,45 @@ class EmpiricalEstimate:
         p_hat = hits / n
         return cls(outcome=outcome, p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / n), n=n)
 
+    @classmethod
+    def from_counts(cls, outcome: PairOutcome, counts: Sequence[int]) -> "EmpiricalEstimate":
+        """The estimate from the eight per-population draw counts: the hits
+        are the draws from ``outcome``'s populations, ``n`` all draws."""
+        hits = sum(int(counts[i - 1]) for i in outcome_populations(outcome))
+        return cls.from_hits(outcome, hits, sum(int(c) for c in counts))
+
+
+def threshold_counts(draws: np.ndarray, thresholds: Sequence) -> list[int]:
+    """Draws per cell, given the ascending inner thresholds of
+    ``len(thresholds) + 1`` cells: a draw falls in cell j when it is >=
+    exactly j of them, as ``searchsorted(side="right")`` would place it, ties
+    from empty cells included."""
+    tails = [len(draws), *(np.count_nonzero(draws >= t) for t in thresholds), 0]
+    return [hi - lo for hi, lo in zip(tails, tails[1:])]
+
+
+def _check_count(spec: ReservoirSpec, n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"sample count must be >= 1, got {n!r}")
+    if spec.mode == "finite" and n > spec.composition.total:
+        raise ValidationError(f"cannot draw {n} pairs from a bag of {spec.composition.total}")
+
+
+def _inner_thresholds(spec: ReservoirSpec) -> list[int]:
+    """An infinite-mode draw's population is 1 plus the number of these at or
+    below it: the cumulative counts without the total, as Python ints."""
+    return list(accumulate(spec.composition.counts))[:-1]
+
+
+def _chunks(spec: ReservoirSpec, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Infinite mode's ``n`` draws, one Philox chunk at a time, as ``(start,
+    stop, draws)``: chunk c holds draws ``start:stop`` from key
+    ``c * 2**64 + seed``, ``CHUNK_SIZE`` of them in every chunk but the last."""
+    for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
+        stop = min(start + CHUNK_SIZE, n)
+        draws = stream(spec.seed, chunk).integers(0, spec.composition.total, size=stop - start)
+        yield start, stop, draws
+
 
 def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
     """Draw ``n`` pairs from the reservoir: the populations drawn (1-8), in
@@ -101,34 +150,30 @@ def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
 
     The array is allocated once and filled chunk by chunk in both modes.
     Infinite mode: i.i.d. categorical draws with probabilities N_i / total,
-    one Philox sub-stream per chunk.  Finite mode: uniform draws without
-    replacement from the bag, sequential by nature; :func:`remaining_counts`
-    gives the bag around each draw.  ``workers`` must be >= 1 and changes
+    one Philox sub-stream per chunk (:func:`_chunks`).  Finite mode: uniform
+    draws without replacement from the bag, sequential by nature;
+    :func:`remaining_counts` gives the bag around each draw.  ``workers`` must be >= 1 and changes
     neither the draws nor the work done.
     """
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n!r}")
+    _check_count(spec, n)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
-
-    counts = spec.composition.counts
-    total = spec.composition.total
-    if spec.mode == "finite" and n > total:
-        raise ValidationError(f"cannot draw {n} pairs from a bag of {total}")
     populations = np.empty(n, dtype=np.int64)
 
     if spec.mode == "infinite":
-        thresholds = np.cumsum(counts)
-        for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
-            stop = min(start + CHUNK_SIZE, n)
-            draws = stream(spec.seed, chunk).integers(0, total, size=stop - start)
-            populations[start:stop] = np.searchsorted(thresholds, draws, side="right") + 1
+        inner = _inner_thresholds(spec)
+        for start, stop, draws in _chunks(spec, n):
+            filled = populations[start:stop]
+            filled.fill(1)
+            for t in inner:
+                filled += draws >= t
         return populations
 
     # finite mode: draw k is uniform below the total left before it (one call
     # per chunk of bounds gives the same integers as one call over all n, with
     # only a chunk of Python ints alive), and u < sum(current) stops the scan.
-    rng, current = stream(spec.seed), list(counts)
+    total = spec.composition.total
+    rng, current = stream(spec.seed), list(spec.composition.counts)
     for start in range(0, n, CHUNK_SIZE):
         stop, chunk = min(start + CHUNK_SIZE, n), []
         for u in rng.integers(0, np.arange(total - start, total - stop, -1)).tolist():
@@ -140,6 +185,24 @@ def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
             chunk.append(i + 1)
         populations[start:stop] = chunk
     return populations
+
+
+def population_counts(spec: ReservoirSpec, n: int) -> np.ndarray:
+    """How many of the ``n`` draws of ``sample(spec, n)`` come from each
+    population, as an int64 array of 8: the same numbers as
+    ``np.bincount(sample(spec, n), minlength=9)[1:]``.
+
+    Infinite mode folds each chunk into the counts with
+    :func:`threshold_counts` and holds no per-draw array.  Finite mode counts
+    the column of :func:`sample`.
+    """
+    if spec.mode == "finite":
+        return np.bincount(sample(spec, n), minlength=9)[1:]
+    _check_count(spec, n)
+    counts, inner = np.zeros(8, dtype=np.int64), _inner_thresholds(spec)
+    for _, _, draws in _chunks(spec, n):
+        counts += threshold_counts(draws, inner)
+    return counts
 
 
 def remaining_counts(bag: PopulationTable, populations: np.ndarray) -> np.ndarray:
@@ -158,12 +221,9 @@ def empirical_probability(
     draws: np.ndarray, outcome: PairOutcome
 ) -> EmpiricalEstimate:
     """Fraction of draws (populations 1-8) that contribute to ``outcome``."""
-    n = len(draws)
-    if n == 0:
+    if len(draws) == 0:
         raise ValidationError("cannot estimate from an empty draw list")
-    per_population = np.bincount(draws, minlength=9)
-    hits = int(per_population[list(outcome_populations(outcome))].sum())
-    return EmpiricalEstimate.from_hits(outcome, hits, n)
+    return EmpiricalEstimate.from_counts(outcome, np.bincount(draws, minlength=9)[1:])
 
 
 def depletion_trajectory(spec: ReservoirSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,8 @@ from bellstat import (
     wigner_check,
     wigner_check_probabilities,
 )
-from bellstat.quantum import _sign_counts
+from bellstat.quantum import _BLOCK
+from bellstat.reservoir import threshold_counts
 from bellstat.rng import stream
 
 AB = PairOutcome("a", +1, "b", +1)
@@ -328,7 +329,7 @@ class TestSignCounts:
             [0.0, np.nextafter(1.0, 0.0)],
         ])
         u = u[u < 1.0]
-        assert _sign_counts(u, thresholds) == reference_sign_counts(u, thresholds)
+        assert threshold_counts(u, thresholds) == reference_sign_counts(u, thresholds)
 
     @pytest.mark.parametrize("geometry", [
         AxisTriple.coplanar(math.radians(60)),
@@ -341,6 +342,17 @@ class TestSignCounts:
         for seed in (0, 1, 2**64 - 1):
             counts = singlet_sample(geometry, 30_001, seed, policy).counts
             assert np.array_equal(counts, reference_singlet_counts(geometry, 30_001, seed, policy))
+
+    @pytest.mark.parametrize("n, policy", [
+        (_BLOCK - 1, "uniform"), (_BLOCK, "uniform"), (_BLOCK + 1, "uniform"),
+        (_BLOCK - 1, ("b", "c")), (_BLOCK, ("b", "c")), (_BLOCK + 1, ("b", "c")),
+        (9 * _BLOCK + 1, "uniform"),  # some axis pair's uniforms cross a block too
+    ])
+    def test_blocked_draws_match_one_call(self, n, policy):
+        # the reference draws every axis choice, and each pair's uniforms, in one call
+        axes = AxisTriple.coplanar(math.radians(60))
+        counts = singlet_sample(axes, n, 2**64 - 1, policy).counts
+        assert np.array_equal(counts, reference_singlet_counts(axes, n, 2**64 - 1, policy))
 
 
 class TestClassicalUnreachability:

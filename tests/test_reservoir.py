@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,17 @@ from bellstat import (
     exact_probability,
     finite_vs_infinite_divergence,
 )
-from bellstat.reservoir import remaining_counts, sample
+from bellstat.reservoir import population_counts, remaining_counts, sample
 from bellstat.rng import stream
 
 AB = PairOutcome("a", +1, "b", +1)
+
+# Empty populations give repeated thresholds; the second table totals ~2**61,
+# far above float64's exact integers.
+EMPTY_POPULATIONS = PopulationTable.from_counts((0, 40_000, 0, 0, 90_000, 0, 0, 120_000))
+NEAR_2_61 = PopulationTable.from_counts(
+    (2**58, 2**60, 0, 2**59 + 12_345, 3, 2**57, 0, 2**58 - 1)
+)
 
 
 def conditional_probabilities(bag, populations):
@@ -118,15 +126,16 @@ class TestDeterminism:
 
     def test_infinite_chunks_follow_the_stream_contract(self):
         # chunk c is the c-th slice of CHUNK_SIZE draws, from Philox key c * 2**64 + seed
-        bag = PopulationTable.from_counts((3, 1, 4, 1, 5, 9, 2, 6))
-        n = 2 * CHUNK_SIZE + 1234
-        populations = sample(ReservoirSpec.infinite(bag, seed=17), n)
-        assert populations.dtype == np.int64 and len(populations) == n
-        thresholds = np.cumsum(bag.counts)
-        for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
-            draws = stream(17, chunk).integers(0, bag.total, size=min(CHUNK_SIZE, n - start))
-            expected = np.searchsorted(thresholds, draws, side="right") + 1
-            assert np.array_equal(populations[start:start + CHUNK_SIZE], expected)
+        for bag in (PopulationTable.from_counts((3, 1, 4, 1, 5, 9, 2, 6)),
+                    EMPTY_POPULATIONS, NEAR_2_61):
+            n = 2 * CHUNK_SIZE + 1234
+            populations = sample(ReservoirSpec.infinite(bag, seed=17), n)
+            assert populations.dtype == np.int64 and len(populations) == n
+            thresholds = np.cumsum(bag.counts)
+            for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
+                draws = stream(17, chunk).integers(0, bag.total, size=min(CHUNK_SIZE, n - start))
+                expected = np.searchsorted(thresholds, draws, side="right") + 1
+                assert np.array_equal(populations[start:start + CHUNK_SIZE], expected)
 
     def test_prefix_stability_across_lengths(self):
         # chunk boundaries depend only on position, so a shorter run is a prefix
@@ -245,6 +254,39 @@ class TestExchangeability:
             p = bag.counts[i] / bag.total
             stderr = math.sqrt(p * (1 - p) / n_seeds)
             assert abs(hits[i] / n_seeds - p) <= 4 * stderr + 1e-12
+
+
+class TestPopulationCounts:
+    @pytest.mark.parametrize(
+        "n", [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 7]
+    )
+    @pytest.mark.parametrize(
+        "bag", [EMPTY_POPULATIONS, NEAR_2_61], ids=["empty-populations", "2^61"]
+    )
+    @pytest.mark.parametrize("mode", ["infinite", "finite"])
+    def test_counts_are_the_sample_bincount(self, mode, bag, n):
+        spec = ReservoirSpec(mode, bag, seed=2**64 - 3)
+        counts = population_counts(spec, n)
+        assert counts.dtype == np.int64 and counts.shape == (8,)
+        assert np.array_equal(counts, np.bincount(sample(spec, n), minlength=9)[1:])
+
+    @pytest.mark.parametrize("mode", ["infinite", "finite"])
+    def test_zero_draws_rejected(self, mode):
+        spec = ReservoirSpec(mode, PopulationTable.uniform(), seed=1)
+        with pytest.raises(ValidationError, match=r"^sample count must be >= 1, got 0$"):
+            population_counts(spec, 0)
+
+    def test_infinite_counts_hold_no_per_draw_array(self):
+        # the n-long int64 column alone would be 8 MB
+        bag = PopulationTable.from_counts((3, 1, 4, 1, 5, 9, 2, 6))
+        spec = ReservoirSpec.infinite(bag, seed=4)
+        tracemalloc.start()
+        try:
+            population_counts(spec, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestEmpiricalProbability:
