@@ -30,7 +30,8 @@ Reports have a stable top-level schema ``{config, results, meta}``
 ``config`` and ``results`` sections regardless of ``--workers``; wall-clock
 duration and worker count live in ``meta`` only.  Floats are emitted with 17
 significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
-:func:`dumps_stable`, fills a cached template per dict shape.  Report rows
+:func:`dumps_stable`, fills a cached template per dict shape, writing each value
+of an exact scalar type inline; only containers and subclasses recurse.  Report rows
 (scan points, drain steps) are handed over as a :class:`Columns` table, key ->
 column: a list, or a 2-D array of the rows' number lists.  Any other list,
 short lists of dicts included, is written value by value.  Each command's CSV
@@ -39,7 +40,9 @@ each block of up to 1024 rows becomes one string through one row template and
 one ``%``, number columns formatted by the ``%`` itself and any other column
 inserted as its value texts.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error.
+Exit codes: 0 success, 2 validation error, 3 I/O error.  :func:`main` builds
+its parser once per process (:func:`build_parser` is cached) and reuses it on
+every later call.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -68,10 +71,11 @@ from .populations import (
     PopulationTable,
     Term,
     WIGNER_OUTCOMES,
-    exact_probability,
     wigner_check,
     wigner_check_probabilities,
 )
+# Not called here: bench/spans.py wraps it by name, as it does sample below.
+from .populations import exact_probability  # noqa: F401
 from .entropy import (
     MultiplicityVector,
     entropy_inequality,
@@ -198,7 +202,7 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
     bool: {True: "true", False: "false"}.__getitem__,
     int: repr,
     float: _format_float,
-    str: json.dumps,
+    str: json.encoder.encode_basestring_ascii,  # what json.dumps(s) ends in
 }
 
 
@@ -295,7 +299,11 @@ def dumps_stable(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "{}"
         keys = sorted(obj)
-        texts = (dumps_stable(obj[k], indent + 1) for k in keys)
+        texts = []
+        for k in keys:  # scalars inline; containers and subclasses recurse
+            value = obj[k]
+            to_text = _SCALARS.get(type(value))
+            texts.append(to_text(value) if to_text else dumps_stable(value, indent + 1))
         return _template(tuple(map(str, keys)), indent) % tuple(texts)
     for kind in (int, float, str):  # subclasses: np.float64 formats as a float
         if isinstance(obj, kind):
@@ -453,12 +461,13 @@ def _run_simulate(config: ExperimentConfig) -> dict:
     assert config.table is not None
     spec = ReservoirSpec(config.mode, config.table, config.seed)  # type: ignore[arg-type]
     counts = population_counts(spec, config.samples)
+    exact = wigner_check(config.table)
     estimates = []
     p_hats = []
-    for outcome in WIGNER_OUTCOMES:
+    # The check's terms are the exact probabilities, in WIGNER_OUTCOMES order.
+    for outcome, term in zip(WIGNER_OUTCOMES, exact.terms, strict=True):
         est = EmpiricalEstimate.from_counts(outcome, counts)
-        exact = exact_probability(config.table, outcome).value
-        estimates.append(_estimate_dict(est, reference=exact))
+        estimates.append(_estimate_dict(est, reference=term.value))
         p_hats.append(est.p_hat)
     empirical = wigner_check_probabilities(*p_hats)
     return {
@@ -466,7 +475,7 @@ def _run_simulate(config: ExperimentConfig) -> dict:
         "draws": config.samples,
         "estimates": estimates,
         "empirical_wigner": _ineq_dict(empirical),
-        "exact_wigner": _ineq_dict(wigner_check(config.table)),
+        "exact_wigner": _ineq_dict(exact),
     }
 
 
@@ -778,8 +787,11 @@ def resolve_config(command: str, config_ref: str | None, overrides: dict[str, An
     return ExperimentConfig(command=command, **converted)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser: every command takes the same options."""
+    """One parser: every command takes the same options.  Built on first use
+    and reused for the life of the process: ``parse_args`` leaves it as it
+    was, and help reads the terminal width when it is printed."""
     parser = argparse.ArgumentParser(
         prog="bellstat",
         description="Population-counting Bell inequality experiments.",

@@ -25,6 +25,7 @@ from bellstat.cli import (
     Command,
     RunReport,
     _csv_lines,
+    build_parser,
     dumps_stable,
     emit,
     main,
@@ -711,6 +712,16 @@ def _lines(*lines):
     return "\n".join(lines)
 
 
+# Any code point: control characters, non-ASCII text and lone surrogates each
+# get their own branch, so every run draws them.
+_ANY_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(min_codepoint=0x80)
+    | st.characters(categories=["Cs"])
+)
+
+
 class TestStableWriter:
     """Edge cases of ``dumps_stable``, pinned at the recursive writer."""
 
@@ -772,6 +783,17 @@ class TestStableWriter:
         )
         assert dumps_stable({10: "ten", 2: "two"}) == _lines("{", '  "2": "two",', '  "10": "ten"', "}")
         assert dumps_stable([]) == "[]" and dumps_stable({}) == "{}" and dumps_stable(()) == "[]"
+
+    @given(text=_ANY_TEXT)
+    def test_strings_are_written_as_json_dumps_writes_them(self, text):
+        quoted = json.dumps(text)
+        assert dumps_stable(text) == quoted
+        assert dumps_stable({"k": text}) == _lines("{", '  "k": ' + quoted, "}")
+        assert dumps_stable([text]) == _lines("[", "  " + quoted, "]")
+
+    def test_nan_two_dicts_deep_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            dumps_stable({"a": {"b": math.nan}})
 
     @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     @given(tree=_JSON_TREES, indent=st.integers(0, 3))
@@ -1037,6 +1059,24 @@ class TestCommandLine:
         b = json.loads(cli(*args).stdout)
         assert dumps_stable(a["config"]) == dumps_stable(b["config"])
         assert dumps_stable(a["results"]) == dumps_stable(b["results"])
+
+    def test_a_reused_parser_leaks_nothing(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as rejected:
+            main(["simulate", "--samples", "many"])
+        assert rejected.value.code == 2
+        args = ["simulate", "--table", "2,1,1,1,1,1,1,1", "--samples", "3000"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main([*args, "--seed", "5", "--workers", "3", "--out", str(first)]) == 0
+        assert main([*args, "--out", str(second)]) == 0
+        capsys.readouterr()
+        assert json.loads(first.read_text())["config"]["seed"] == 5
+        doc = json.loads(second.read_text())
+        assert doc["config"]["seed"] == 42
+        assert doc["meta"]["workers"] == 1
+        fresh = json.loads(cli(*args).stdout)  # a new process: its parser's first call
+        for section in ("config", "results"):
+            assert dumps_stable(doc[section]) == dumps_stable(fresh[section])
 
     def test_workers_do_not_change_results(self):
         base = ("simulate", "--table", "2,1,1,1,1,1,1,1", "--samples", "70000", "--seed", "5")
