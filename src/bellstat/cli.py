@@ -553,8 +553,11 @@ def _run_quantum(config: ExperimentConfig) -> dict:
     else:
         deg, steps = config.axes_spacing_deg, config.steps
         points = quantum_wigner_scan(math.radians(deg), steps)
+        theta_deg = np.arange(1.0, steps + 1)  # deg * k / steps, in place: one array
+        theta_deg *= deg
+        theta_deg /= steps
         scan = Columns(
-            theta_deg=[deg * k / steps for k in range(1, steps + 1)],
+            theta_deg=theta_deg.tolist(),
             lhs=points.lhs, rhs=points.rhs, violated=points.violated,
         )
 

@@ -482,6 +482,19 @@ class TestRun:
             assert len(a[key]) == 1 and a[key] == b[key]
         assert a["theta_deg"] == pytest.approx(b["theta_deg"], abs=1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spacing_deg=st.floats(1e-300, 180.0, exclude_max=True),
+        steps=st.integers(1, 5000),
+    )
+    def test_quantum_theta_column_is_deg_k_over_steps(self, spacing_deg, steps):
+        config = resolve_config(
+            "quantum", None, {"axes_spacing_deg": spacing_deg, "steps": steps, "samples": 100}
+        )
+        theta_deg = run(config).results["scan"]["theta_deg"]
+        expected = [spacing_deg * k / steps for k in range(1, steps + 1)]
+        assert repr(theta_deg) == repr(expected)
+
     def test_drain_reaches_certainty(self):
         config = resolve_config("drain", None, {"table": "2,1,0,0,0,0,0,0"})
         report = run(config)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,8 @@ from bellstat import (
     wigner_check,
     wigner_check_probabilities,
 )
-from bellstat.quantum import _BLOCK
+from bellstat.populations import coplanar_directions, direction_angle
+from bellstat.quantum import _BLOCK, _SCAN_BLOCK
 from bellstat.reservoir import threshold_counts
 from bellstat.rng import stream
 
@@ -140,6 +142,14 @@ class TestWignerScan:
         with pytest.raises(ValidationError):
             quantum_wigner_scan(1.0, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True, False, "3", None])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            quantum_wigner_scan(1.0, steps=steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert quantum_wigner_scan(1.0, np.int64(3)) == quantum_wigner_scan(1.0, 3)
+
 
 class TestScanColumns:
     def test_columns_are_the_points(self):
@@ -148,6 +158,71 @@ class TestScanColumns:
         assert list(scan) == list(zip(scan.theta, scan.lhs, scan.rhs, scan.violated))
         assert {type(x) for x in scan.theta + scan.lhs + scan.rhs} == {float}
         assert {type(x) for x in scan.violated} == {bool}
+
+
+def per_step_scan(spacing, steps):
+    """The scan as one loop over steps, each through the scalar kernel's
+    functions: the reference the columnar scan must match bit for bit."""
+    theta, lhs, rhs, violated = [], [], [], []
+    for k in range(1, steps + 1):
+        t = float(spacing) * k / steps
+        a, b, c = coplanar_directions(t)
+        ab = 0.5 * math.sin(direction_angle(a, b) / 2.0) ** 2
+        ac = 0.5 * math.sin(direction_angle(a, c) / 2.0) ** 2
+        cb = 0.5 * math.sin(direction_angle(c, b) / 2.0) ** 2
+        theta.append(t)
+        lhs.append(ab)
+        rhs.append(ac + cb)
+        violated.append(ab > ac + cb + 1e-12)
+    return theta, lhs, rhs, violated
+
+
+def assert_scan_is(scan, expected):
+    columns = (scan.theta, scan.lhs, scan.rhs, scan.violated)
+    assert [list(map(float.hex, c)) for c in columns[:3]] == [
+        list(map(float.hex, c)) for c in expected[:3]
+    ]
+    assert columns[3] == expected[3]
+    assert {type(x) for c in columns[:3] for x in c} == {float}
+    assert {type(x) for x in columns[3]} == {bool}
+
+
+class TestColumnarScan:
+    """The blocked columnar scan against the per-step loop it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spacing=st.one_of(
+            st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+            st.sampled_from([
+                5e-324, 1e-320, 1e-300, 1e-8, math.pi / 2,
+                math.pi - 1e-15, math.nextafter(math.pi, 0.0),
+            ]),
+        ),
+        steps=st.one_of(
+            st.integers(1, 40),
+            st.sampled_from([_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK + 1]),
+        ),
+    )
+    def test_bit_for_bit_with_the_per_step_loop(self, spacing, steps):
+        assert_scan_is(quantum_wigner_scan(spacing, steps), per_step_scan(spacing, steps))
+
+    def test_179_degrees_at_20000_steps(self):
+        """A grid on which libm's pow(x, 2) and x*x differ (for 50 of its
+        60,000 squares with glibc 2.36), so a square taken as a product
+        fails here."""
+        spacing = math.radians(179)
+        assert_scan_is(quantum_wigner_scan(spacing, 20_000), per_step_scan(spacing, 20_000))
+
+    def test_temporary_memory_stays_per_block(self):
+        tracemalloc.start()
+        try:
+            scan = quantum_wigner_scan(math.radians(179), 10**5)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scan) == 10**5
+        assert peak - retained < 2**20
 
 
 class TestPinnedScan:
