@@ -11,19 +11,23 @@ entropy         Multiplicity/entropy inequality checks on a vector.
 counterexample  Random search for a sum-form inequality violator.
 
 Each command is one :class:`Command` entry in :data:`COMMANDS` (help line,
-pipeline, CSV header and CSV columns); the parser, :func:`run` and :func:`emit`
-all read that table.  Every command takes the same options, and each value
-is checked once: its JSON type by ``_CONVERTERS``, its range by
-:class:`ExperimentConfig`, so a bad flag or config value exits 2 with one line.
+inputs, pipeline, CSV header and CSV columns); the parser, :func:`run` and
+:func:`emit` all read that table.  Each value is checked once: its JSON type
+by ``_CONVERTERS``, its range by :class:`ExperimentConfig` or by the library
+step that reads it, so a bad flag or config value exits 2 with one line.
 Sizes are capped where memory or report rows would run away: ``samples`` at
 :data:`MAX_SAMPLES`, ``steps`` and a drained bag's total at :data:`MAX_ROWS`.
 
 A single JSON config file can carry every option; command-line flags
 override file values, which override defaults (seed 42, samples 100000,
 epsilon 0.05, policy equal).  ``--config`` also accepts a shipped preset
-name: wigner-uniform, marble-bag, quantum-60, counterexample-search.  An
-input given twice exits 2, never keeps one value silently: a key repeated in
-a config file, explicit axes with an axes spacing, omegas with a table.
+name: wigner-uniform, marble-bag, quantum-60, counterexample-search.  A key
+repeated in a config file exits 2.  One rule says which inputs a command
+reads.  A key is given when its value differs from its default.  Each
+command's ``inputs`` lists its forms, the key sets that one way of running it
+reads; exactly one form must have its required (default ``None``) keys given,
+and any other given key outside that form exits 2 with one line naming it
+(``format`` and ``out`` go with every command).  So no input is echoed unread.
 
 Reports have a stable top-level schema ``{config, results, meta}``
 (schema id bellstat-report/1).  Identical configs yield byte-identical
@@ -131,38 +135,31 @@ class ExperimentConfig:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.samples > MAX_SAMPLES:
             raise ValidationError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if self.steps > MAX_ROWS:
             raise ValidationError(f"steps must be at most {MAX_ROWS}, got {self.steps}")
-        if not math.isfinite(self.epsilon):
-            raise ValidationError(f"epsilon must be finite, got {self.epsilon}")
-        if self.epsilon < 0:
-            raise ValidationError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.policy not in ("equal", "proportional"):
             raise ValidationError(f"policy must be 'equal' or 'proportional', got {self.policy!r}")
-        if self.mode not in ("infinite", "finite"):
-            raise ValidationError(f"mode must be 'infinite' or 'finite', got {self.mode!r}")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"format must be 'json' or 'csv', got {self.format!r}")
-        if self.axes_spacing_deg is not None and not 0.0 < self.axes_spacing_deg < 180.0:
-            raise ValidationError(
-                f"axes spacing must be in (0, 180) degrees, got {self.axes_spacing_deg}"
-            )
-        if self.command in ("exact", "simulate", "drain") and self.table is None:
-            raise ValidationError(f"command {self.command!r} requires a population table")
-        if self.command == "quantum" and self.axes_spacing_deg is None and self.axes is None:
-            raise ValidationError("command 'quantum' requires --axes-spacing or explicit axes")
-        if self.command == "quantum" and self.axes is not None and self.axes_spacing_deg is not None:
-            raise ValidationError("command 'quantum' takes --axes-spacing or explicit axes, not both")
-        if self.command == "quantum" and self.axes is not None and self.steps > 1:
-            raise ValidationError(
-                f"steps applies only to --axes-spacing scans, got {self.steps} with explicit axes"
-            )
-        if self.command == "entropy" and self.omegas is None and self.table is None:
-            raise ValidationError("command 'entropy' requires --omegas or a table to derive them")
-        if self.command == "entropy" and self.omegas is not None and self.table is not None:
-            raise ValidationError("command 'entropy' takes --omegas or a table, not both")
+        spacing = self.axes_spacing_deg
+        if spacing is not None and not (0.0 < math.radians(spacing) and spacing < 180.0):
+            raise ValidationError(f"axes spacing must be in (0, 180) degrees, got {spacing}")
+        # The one input rule: a key is given when it differs from its default.
+        # Exactly one form must have its required (default None) keys given,
+        # and that form must read every other given key but format and out.
+        given = [k for k, v in _DEFAULTS.items() if getattr(self, k) != v]
+        forms = COMMANDS[self.command].inputs
+        required = [[k for k in _DEFAULTS if k in form and _DEFAULTS[k] is None] for form in forms]
+        matched = [form for form, keys in zip(forms, required) if set(keys) <= set(given)]
+        if len(matched) != 1:
+            either = " or ".join(map(_flags, required))
+            needs = f"takes {either}, not both" if matched else f"requires {either}"
+            raise ValidationError(f"command {self.command!r} {needs}")
+        for key in given:
+            if key not in matched[0] and key not in ("format", "out"):
+                readers = " or ".join(_flags(ks) for f, ks in zip(forms, required) if key in f)
+                raise ValidationError(f"command {self.command!r} does not read {_flags([key])}"
+                                      + (readers and f" without {readers}"))
         if self.command == "simulate" and self.mode == "finite":
             assert self.table is not None
             if self.samples > self.table.total:
@@ -173,6 +170,13 @@ class ExperimentConfig:
 
 # Every config key with its default; the keys a config file or flag may set.
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "command"}
+
+
+def _flags(keys: Iterable[str]) -> str:
+    """The flags that set these config keys, joined by "and"; a key that only
+    a config file sets stands for itself."""
+    flags = {a.dest: a.option_strings[0] for a in build_parser()._actions if a.option_strings}
+    return " and ".join(flags.get(key, key) for key in keys)
 
 
 @dataclass(frozen=True)
@@ -406,10 +410,13 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class Command:
-    """One CLI command: its help line, its pipeline ``run(config)``, and the
-    CSV header and the columns of CSV cells it emits from its ``results``."""
+    """One CLI command: its help line, the config keys it reads, its pipeline
+    ``run(config)``, and the CSV header and the columns of CSV cells it emits
+    from its ``results``.  ``inputs`` holds one key set per way of running the
+    command; ``format`` and ``out`` go with every command."""
 
     help: str
+    inputs: tuple[set[str], ...]
     run: Callable[[ExperimentConfig], dict]
     csv_header: tuple[str, ...]
     csv_columns: Callable[[dict], list[Sequence[Any] | np.ndarray]]
@@ -441,6 +448,7 @@ def _run_exact(config: ExperimentConfig) -> dict:
 
 COMMANDS["exact"] = Command(
     help="exact probabilities and the Wigner inequality for a table",
+    inputs=({"table"},),
     run=_run_exact,
     csv_header=(
         "term", *_OUTCOME_COLUMNS, "populations", "numerator", "denominator", "probability",
@@ -481,6 +489,7 @@ def _run_simulate(config: ExperimentConfig) -> dict:
 
 COMMANDS["simulate"] = Command(
     help="Monte Carlo reservoir sampling against exact values",
+    inputs=({"table", "mode", "samples", "seed"},),
     run=_run_simulate,
     csv_header=("outcome", *_OUTCOME_COLUMNS, "p_hat", "stderr", "n", "reference"),
     csv_columns=lambda results: _transposed(
@@ -519,6 +528,7 @@ def _run_drain(config: ExperimentConfig) -> dict:
 
 COMMANDS["drain"] = Command(
     help="fully drain a finite bag, recording each conditional step",
+    inputs=({"table", "seed"},),
     run=_run_drain,
     csv_header=(
         "step", "population",
@@ -574,6 +584,7 @@ def _run_quantum(config: ExperimentConfig) -> dict:
 
 COMMANDS["quantum"] = Command(
     help="singlet-state inequality scan and sampler",
+    inputs=({"axes_spacing_deg", "steps", "samples", "seed"}, {"axes", "samples", "seed"}),
     run=_run_quantum,
     csv_header=("theta", "lhs", "rhs", "violated"),
     csv_columns=lambda results: [
@@ -602,6 +613,7 @@ def _run_entropy(config: ExperimentConfig) -> dict:
 
 COMMANDS["entropy"] = Command(
     help="multiplicity and entropy inequality checks",
+    inputs=({"omegas", "epsilon"}, {"table", "policy", "epsilon"}),
     run=_run_entropy,
     csv_header=("inequality", "lhs", "rhs", "margin", "holds", "equal_multiplicity_precondition"),
     csv_columns=lambda results: _transposed(
@@ -631,6 +643,7 @@ def _run_counterexample(config: ExperimentConfig) -> dict:
 
 COMMANDS["counterexample"] = Command(
     help="search for a sum-form inequality violator",
+    inputs=({"samples", "seed", "epsilon"},),
     run=_run_counterexample,
     csv_header=("found", *(f"omega{i}" for i in range(1, 9)), "lhs", "rhs", "margin"),
     csv_columns=lambda results: _transposed([
@@ -792,7 +805,8 @@ def resolve_config(command: str, config_ref: str | None, overrides: dict[str, An
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser: every command takes the same options.  Built on first use
+    """One parser: every command takes the same flags, and
+    :class:`ExperimentConfig` rejects one it does not read.  Built on first use
     and reused for the life of the process: ``parse_args`` leaves it as it
     was, and help reads the terminal width when it is printed."""
     parser = argparse.ArgumentParser(

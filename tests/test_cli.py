@@ -55,14 +55,14 @@ class TestConfigResolution:
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"table": [2, 0, 0, 0, 0, 0, 0, 0], "seed": 7}))
-        config = resolve_config("exact", str(path), {})
+        config = resolve_config("simulate", str(path), {})
         assert config.seed == 7
         assert config.table == PopulationTable.from_counts((2, 0, 0, 0, 0, 0, 0, 0))
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"table": [1] * 8, "seed": 7, "samples": 10}))
-        config = resolve_config("exact", str(path), {"seed": 11, "samples": None})
+        config = resolve_config("simulate", str(path), {"seed": 11, "samples": None})
         assert config.seed == 11
         assert config.samples == 10
 
@@ -255,6 +255,12 @@ class TestHardening:
         argv = ["quantum", "--config", str(path)]
         self.exits_2(capsys, argv, f"steps must be at most {MAX_ROWS}")
 
+    def test_spacing_whose_radians_underflow_rejected(self, capsys):
+        self.exits_2(capsys, ["quantum", "--axes-spacing", "5e-324", "--samples", "100"],
+                     "axes spacing must be in (0, 180) degrees, got 5e-324")
+        assert math.radians(2e-322) == 5e-324  # the least spacing whose radians are positive
+        assert main(["quantum", "--axes-spacing", "2e-322", "--samples", "100"]) == 0
+
     def test_limits_are_inclusive(self):
         overrides = {"axes_spacing_deg": 60.0, "samples": MAX_SAMPLES, "steps": MAX_ROWS}
         config = resolve_config("quantum", None, overrides)
@@ -339,6 +345,103 @@ class TestHardening:
         self.exits_2(capsys, ["quantum", *geometry, "--samples", "1"], "no samples for axis pair")
 
 
+_ONES, _AXES = TestHardening.ONES, TestHardening.AXES
+# One argv per command that runs, each with inputs of that command only.
+_RUNS = {
+    "exact": ["exact", "--table", _ONES],
+    "simulate": ["simulate", "--table", _ONES, "--samples", "100"],
+    "drain": ["drain", "--table", _ONES],
+    "quantum": ["quantum", "--axes-spacing", "60", "--samples", "100"],
+    "entropy": ["entropy", "--omegas", _ONES],
+    "counterexample": ["counterexample", "--samples", "100"],
+}
+
+
+def _main_with(tmp_path, argv, config=None, extra=()):
+    """``main`` on ``argv``, plus ``--config`` of a file holding ``config``;
+    ``extra`` adds flags (a list) or config keys (a dict)."""
+    if isinstance(extra, dict):
+        config = {**(config or {}), **extra}
+    else:
+        argv = [*argv, *extra]
+    if config is not None:
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    return main(argv)
+
+
+class TestInputs:
+    """A command reads only the keys of one of its input forms: any other key
+    that differs from its default exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("argv, config, unread, name", [
+        pytest.param(_RUNS["drain"], None, ["--samples", "5"], "--samples", id="drain-samples"),
+        pytest.param(_RUNS["exact"], None, ["--axes-spacing", "30"], "--axes-spacing",
+                     id="exact-axes-spacing"),
+        pytest.param(_RUNS["counterexample"], None, ["--table", _ONES], "--table",
+                     id="counterexample-table"),
+        pytest.param(_RUNS["quantum"], None, ["--table", _ONES], "--table", id="quantum-table"),
+        pytest.param(["quantum", "--samples", "100"], {"axes": _AXES}, {"steps": 3}, "steps",
+                     id="quantum-axes-steps"),
+        pytest.param(_RUNS["entropy"], None, {"policy": "proportional"}, "--policy",
+                     id="entropy-omegas-policy"),
+        *(pytest.param(_RUNS[command], None, {"mode": "finite"}, "mode", id=f"{command}-mode")
+          for command in COMMANDS if command != "simulate"),
+    ])
+    def test_an_unread_input_exits_2(self, tmp_path, capsys, argv, config, unread, name):
+        """The same command runs without the unread key."""
+        assert _main_with(tmp_path, argv, config) == 0
+        capsys.readouterr()
+        assert _main_with(tmp_path, argv, config, unread) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bellstat: ") and captured.err.count("\n") == 1
+        assert f"does not read {name}" in captured.err
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["exact"], "command 'exact' requires --table"),
+        (["quantum", "--samples", "100"], "command 'quantum' requires --axes-spacing or axes"),
+        (["entropy"], "command 'entropy' requires --omegas or --table"),
+    ])
+    def test_a_missing_input_exits_2(self, capsys, argv, needle):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"bellstat: {needle}\n"
+
+    @pytest.mark.parametrize("argv, config, default", [
+        pytest.param(_RUNS["exact"], None, ["--seed", "42"], id="exact-seed-42"),
+        pytest.param(["quantum", "--samples", "100"], {"axes": _AXES}, {"steps": 1},
+                     id="quantum-axes-steps-1"),
+    ])
+    def test_a_default_value_is_not_an_input(self, tmp_path, capsys, argv, config, default):
+        """A key set to its default runs, with the bytes of a run without it."""
+        for fmt in ("json", "csv"):
+            reports = []
+            for extra in ((), default):
+                assert _main_with(tmp_path, [*argv, "--format", fmt], config, extra) == 0
+                out = capsys.readouterr().out
+                if fmt == "json":
+                    doc = json.loads(out)
+                    out = dumps_stable({"config": doc["config"], "results": doc["results"]})
+                reports.append(out)
+            assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("argv, config, needle", [
+        pytest.param(_RUNS["simulate"], {"mode": "bogus"},
+                     "mode must be 'infinite' or 'finite', got 'bogus'", id="simulate-mode"),
+        pytest.param(_RUNS["quantum"], {"steps": 0}, "steps must be >= 1, got 0",
+                     id="quantum-steps"),
+        pytest.param(_RUNS["counterexample"] + ["--epsilon", "-1"], None,
+                     "epsilon must be nonnegative, got -1.0", id="counterexample-epsilon"),
+    ])
+    def test_a_bad_value_of_a_read_input_exits_2(self, tmp_path, capsys, argv, config, needle):
+        """The library step that reads the key rejects it, before any output."""
+        assert _main_with(tmp_path, argv, config) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bellstat: {needle}\n"
+
+
 # Strategies for the exit-code contract.  Every count, sample budget and step
 # count stays small (counts <= 50, samples <= 1000, steps <= 100), so that no
 # generated drain, draw or scan costs more than a few MB or milliseconds; huge
@@ -352,13 +455,20 @@ _COUNT = st.integers(0, 50)
 _COUNTS = st.lists(_COUNT, min_size=8, max_size=8)
 _NUMBER = st.integers(-5, 200) | st.floats(-1e3, 1e3)
 _COMPONENTS = st.lists(_NUMBER | _HUGE | _WRONG, max_size=4)
-# A config every command can run; the generated changes are merged over it.
-_RUNNABLE = st.fixed_dictionaries({
-    "table": _COUNTS,
-    "samples": st.integers(1, 1000),
-    "axes_spacing_deg": st.floats(1, 179),
-    "steps": st.integers(1, 100),
-})
+# A config each command can run, holding only keys it reads; the generated
+# changes are merged over it.
+_RUNNABLE = {
+    "exact": st.fixed_dictionaries({"table": _COUNTS}),
+    "simulate": st.fixed_dictionaries({"table": _COUNTS, "samples": st.integers(1, 1000)}),
+    "drain": st.fixed_dictionaries({"table": _COUNTS}),
+    "quantum": st.fixed_dictionaries({
+        "axes_spacing_deg": st.floats(1, 179),
+        "steps": st.integers(1, 100),
+        "samples": st.integers(1, 1000),
+    }),
+    "entropy": st.fixed_dictionaries({"table": _COUNTS}),
+    "counterexample": st.fixed_dictionaries({"samples": st.integers(1, 1000)}),
+}
 _CONFIG_VALUES = {
     "command": st.sampled_from(list(COMMANDS)),
     "table": _COUNTS | st.lists(_COUNT | _WRONG, max_size=9) | _WRONG,
@@ -405,20 +515,21 @@ class TestExitCodeContract:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
     @given(
-        command=st.sampled_from(list(COMMANDS)),
+        case=st.sampled_from(list(COMMANDS)).flatmap(lambda command: st.tuples(
+            st.just(command), _RUNNABLE[command] | st.just({}), _some(_CONFIG_VALUES)
+        )),
         command_first=st.booleans(),
         flags=_some(_FLAG_VALUES),
         config_ref=st.just("FILE") | st.sampled_from([None, "no-such-preset", ".", *PRESET_NAMES]),
-        config=st.tuples(_RUNNABLE | st.just({}), _some(_CONFIG_VALUES)).map(
-            lambda pair: {**pair[0], **pair[1]}
-        ),
     )
     def test_main_exits_0_2_or_3_and_never_raises(
-        self, tmp_path, monkeypatch, command, command_first, flags, config_ref, config
+        self, tmp_path, monkeypatch, case, command_first, flags, config_ref
     ):
         """Every argv and config file ends in exit 0, or in exit 2/3 with one
         ``bellstat:`` line; argparse's own exit 2 for a flag it cannot parse
         comes as ``SystemExit``."""
+        command, base, changes = case
+        config = {**base, **changes}
         monkeypatch.chdir(tmp_path)  # relative ``out`` names land here
         if config_ref == "FILE":
             config_ref = str(tmp_path / "exp.json")
@@ -750,7 +861,10 @@ class TestStableWriter:
         {"values": [-math.inf]},
     ])
     def test_non_finite_result_exits_2(self, monkeypatch, capsys, results):
-        fake = Command(help="", run=lambda config: results, csv_header=(), csv_columns=list)
+        fake = Command(
+            help="", inputs=COMMANDS["exact"].inputs, run=lambda config: results,
+            csv_header=(), csv_columns=list,
+        )
         monkeypatch.setitem(COMMANDS, "exact", fake)
         assert main(["exact", "--config", "wigner-uniform"]) == 2
         err = capsys.readouterr().err
@@ -828,7 +942,8 @@ class TestStableWriter:
         with pytest.raises(ValidationError, match="non-finite"):
             dumps_stable({"steps": steps})
         fake = Command(
-            help="", run=lambda config: {"steps": steps}, csv_header=("step",),
+            help="", inputs=COMMANDS["exact"].inputs,
+            run=lambda config: {"steps": steps}, csv_header=("step",),
             csv_columns=lambda results: [
                 [s["step"] for s in results["steps"]],
                 np.array([s["conditional_probabilities"] for s in results["steps"]]),
@@ -960,7 +1075,8 @@ class TestColumnTable:
         with pytest.raises(ValidationError, match="non-finite"):
             dumps_stable({"steps": steps})
         fake = Command(
-            help="", run=lambda config: {"steps": steps}, csv_header=("step",),
+            help="", inputs=COMMANDS["exact"].inputs,
+            run=lambda config: {"steps": steps}, csv_header=("step",),
             csv_columns=lambda results: list(results["steps"].values()),
         )
         monkeypatch.setitem(COMMANDS, "exact", fake)
@@ -1020,6 +1136,12 @@ class TestPresets:
         config = resolve_config(data["command"], name, overrides)
         report = run(config)
         assert report.results
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_set_only_keys_their_command_reads(self, name):
+        data = load_preset(name)
+        keys = set(data) - {"command", "format", "out"}
+        assert any(keys <= form for form in COMMANDS[data["command"]].inputs)
 
     def test_marble_bag_preset_drains_to_certainty(self):
         config = resolve_config("drain", "marble-bag", {})
