@@ -28,6 +28,15 @@ command's ``inputs`` lists its forms, the key sets that one way of running it
 reads; exactly one form must have its required (default ``None``) keys given,
 and any other given key outside that form exits 2 with one line naming it
 (``format`` and ``out`` go with every command).  So no input is echoed unread.
+:meth:`ExperimentConfig.__post_init__` has no branch on the command: a check
+that depends on it, such as a finite bag's overdraw, is made by the library
+step that reads the values.
+
+Every library record in ``results`` (a joint outcome, a term, an inequality
+report, an estimate) is written by one rule, :func:`_record`: the dict of its
+fields whose value is set (``None`` and an empty ``note`` are left out), with
+nested records and tuples written the same way.  An outcome also carries its
+``label``, and an estimate gets its ``reference`` where the command adds it.
 
 Reports have a stable top-level schema ``{config, results, meta}``
 (schema id bellstat-report/1).  Identical configs yield byte-identical
@@ -160,12 +169,6 @@ class ExperimentConfig:
                 readers = " or ".join(_flags(ks) for f, ks in zip(forms, required) if key in f)
                 raise ValidationError(f"command {self.command!r} does not read {_flags([key])}"
                                       + (readers and f" without {readers}"))
-        if self.command == "simulate" and self.mode == "finite":
-            assert self.table is not None
-            if self.samples > self.table.total:
-                raise ValidationError(
-                    f"cannot draw {self.samples} pairs from a finite bag of {self.table.total}"
-                )
 
 
 # Every config key with its default; the keys a config file or flag may set.
@@ -342,47 +345,23 @@ def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarr
 _OUTCOME_COLUMNS = ("alice_axis", "alice_sign", "bob_axis", "bob_sign")
 
 
-def _outcome_dict(o: PairOutcome) -> dict:
-    return {"label": o.label(), **{k: getattr(o, k) for k in _OUTCOME_COLUMNS}}
+_RECORDS = frozenset((PairOutcome, Term, InequalityReport, EmpiricalEstimate))
 
 
-def _term_dict(t: Term) -> dict:
-    d: dict[str, Any] = {
-        "label": t.label,
-        "populations": list(t.populations),
-        "value": t.value,
-    }
-    if t.outcome is not None:
-        d["outcome"] = _outcome_dict(t.outcome)
-    if t.numerator is not None:
-        d["numerator"] = t.numerator
-        d["denominator"] = t.denominator
-    return d
-
-
-def _ineq_dict(r: InequalityReport) -> dict:
-    d: dict[str, Any] = {
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "margin": r.margin,
-        "holds": r.holds,
-        "terms": [_term_dict(t) for t in r.terms],
-    }
-    if r.equal_multiplicity_precondition is not None:
-        d["equal_multiplicity_precondition"] = r.equal_multiplicity_precondition
-    if r.note:
-        d["note"] = r.note
-    return d
-
-
-def _estimate_dict(e: EmpiricalEstimate, reference: float) -> dict:
-    return {
-        "outcome": _outcome_dict(e.outcome),
-        "p_hat": e.p_hat,
-        "stderr": e.stderr,
-        "n": e.n,
-        "reference": reference,
-    }
+def _record(obj: Any) -> Any:
+    """A record as the dict of its set fields (``None`` and an empty ``note``
+    left out), an outcome with its ``label`` too; a tuple as the list of its
+    items' records; any other value as it is."""
+    kind = type(obj)
+    if kind is tuple:
+        return [_record(item) for item in obj]
+    if kind not in _RECORDS:
+        return obj
+    record = {key: _record(value) for key, value in vars(obj).items()
+              if value is not None and value != ""}
+    if kind is PairOutcome:
+        record["label"] = obj.label()
+    return record
 
 
 def _echo_value(value: Any) -> Any:
@@ -436,14 +415,14 @@ def _run_exact(config: ExperimentConfig) -> dict:
     # The check's terms are the exact probabilities, in WIGNER_OUTCOMES order.
     probabilities = [
         {
-            "outcome": _outcome_dict(t.outcome),
+            "outcome": _record(t.outcome),
             "numerator": t.numerator,
             "denominator": t.denominator,
             "value": t.value,
         }
         for t in report.terms
     ]
-    return {"wigner": _ineq_dict(report), "probabilities": probabilities}
+    return {"wigner": _record(report), "probabilities": probabilities}
 
 
 COMMANDS["exact"] = Command(
@@ -475,15 +454,15 @@ def _run_simulate(config: ExperimentConfig) -> dict:
     # The check's terms are the exact probabilities, in WIGNER_OUTCOMES order.
     for outcome, term in zip(WIGNER_OUTCOMES, exact.terms, strict=True):
         est = EmpiricalEstimate.from_counts(outcome, counts)
-        estimates.append(_estimate_dict(est, reference=term.value))
+        estimates.append({**_record(est), "reference": term.value})
         p_hats.append(est.p_hat)
     empirical = wigner_check_probabilities(*p_hats)
     return {
         "mode": config.mode,
         "draws": config.samples,
         "estimates": estimates,
-        "empirical_wigner": _ineq_dict(empirical),
-        "exact_wigner": _ineq_dict(exact),
+        "empirical_wigner": _record(empirical),
+        "exact_wigner": _record(exact),
     }
 
 
@@ -573,7 +552,7 @@ def _run_quantum(config: ExperimentConfig) -> dict:
 
     counts = singlet_sample(axes, config.samples, config.seed)
     estimates = [
-        _estimate_dict(counts.estimate(outcome), reference=reference)
+        {**_record(counts.estimate(outcome)), "reference": reference}
         for outcome, reference in zip(WIGNER_OUTCOMES, references)
     ]
     return {
@@ -604,9 +583,9 @@ def _run_entropy(config: ExperimentConfig) -> dict:
         ratios = None
     return {
         "omegas": list(v.omegas),
-        "multiplicity_inequality": _ineq_dict(multiplicity_inequality(v, config.epsilon)),
-        "product_inequality": _ineq_dict(product_inequality(v)),
-        "entropy_inequality": _ineq_dict(entropy_inequality(v)),
+        "multiplicity_inequality": _record(multiplicity_inequality(v, config.epsilon)),
+        "product_inequality": _record(product_inequality(v)),
+        "entropy_inequality": _record(entropy_inequality(v)),
         "entropy_ratios": ratios,
     }
 
@@ -637,7 +616,7 @@ def _run_counterexample(config: ExperimentConfig) -> dict:
         "budget": config.samples,
         "found": True,
         "omegas": list(found.omegas),
-        "report": _ineq_dict(multiplicity_inequality(found, config.epsilon)),
+        "report": _record(multiplicity_inequality(found, config.epsilon)),
     }
 
 

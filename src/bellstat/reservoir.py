@@ -144,7 +144,7 @@ def _chunks(spec: ReservoirSpec, n: int) -> Iterator[tuple[int, int, np.ndarray]
         yield start, stop, draws
 
 
-def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
+def sample(spec: ReservoirSpec, n: int) -> np.ndarray:
     """Draw ``n`` pairs from the reservoir: the populations drawn (1-8), in
     step order, as a 1-D int64 array.
 
@@ -152,12 +152,9 @@ def sample(spec: ReservoirSpec, n: int, workers: int = 1) -> np.ndarray:
     Infinite mode: i.i.d. categorical draws with probabilities N_i / total,
     one Philox sub-stream per chunk (:func:`_chunks`).  Finite mode: uniform
     draws without replacement from the bag, sequential by nature;
-    :func:`remaining_counts` gives the bag around each draw.  ``workers`` must be >= 1 and changes
-    neither the draws nor the work done.
+    :func:`remaining_counts` gives the bag around each draw.
     """
     _check_count(spec, n)
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
     populations = np.empty(n, dtype=np.int64)
 
     if spec.mode == "infinite":

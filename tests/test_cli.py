@@ -105,8 +105,8 @@ class TestConfigValidation:
         path.write_text(
             json.dumps({"table": [1] * 8, "mode": "finite", "samples": 9})
         )
-        with pytest.raises(ValidationError):
-            resolve_config("simulate", str(path), {})
+        with pytest.raises(ValidationError, match="cannot draw 9 pairs from a bag of 8"):
+            run(resolve_config("simulate", str(path), {}))
 
     def test_non_unit_axes_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -171,23 +171,32 @@ class TestConfigValidation:
         report = run(config)
         assert report.results["omegas"] == [1.0] * 8
 
+    # Each bad value goes to a command that reads its key, so the value check,
+    # not the unread-input rule, rejects it.  The ids are the cases' indices.
     @pytest.mark.parametrize(
-        "overrides",
+        "command, overrides, message",
         [
-            {"seed": -3},
-            {"epsilon": -1.0},
-            {"epsilon": math.nan},
-            {"format": "yaml"},
-            {"axes_spacing_deg": 180.0},
-            {"axes_spacing_deg": 0.0},
-            {"steps": 0},
-            {"mode": "bogus"},
+            ("exact", {"table": "1,1,1,1,1,1,1,1", "seed": -3},
+             "seed must be an unsigned 64-bit integer, got -3"),
+            ("entropy", {"omegas": "1,1,1,1,1,1,1,1", "epsilon": -1.0},
+             "epsilon must be nonnegative, got -1.0"),
+            ("entropy", {"omegas": "1,1,1,1,1,1,1,1", "epsilon": math.nan},
+             "epsilon must be finite, got nan"),
+            ("exact", {"table": "1,1,1,1,1,1,1,1", "format": "yaml"},
+             "format must be 'json' or 'csv', got 'yaml'"),
+            ("exact", {"table": "1,1,1,1,1,1,1,1", "axes_spacing_deg": 180.0},
+             r"axes spacing must be in \(0, 180\) degrees, got 180.0"),
+            ("exact", {"table": "1,1,1,1,1,1,1,1", "axes_spacing_deg": 0.0},
+             r"axes spacing must be in \(0, 180\) degrees, got 0.0"),
+            ("quantum", {"axes_spacing_deg": 60.0, "steps": 0}, "steps must be >= 1, got 0"),
+            ("simulate", {"table": "1,1,1,1,1,1,1,1", "mode": "bogus"},
+             "mode must be 'infinite' or 'finite', got 'bogus'"),
         ],
+        ids=[f"overrides{i}" for i in range(8)],
     )
-    def test_bad_scalars_rejected(self, overrides):
-        base = {"table": "1,1,1,1,1,1,1,1"}
-        with pytest.raises(ValidationError):
-            resolve_config("exact", None, {**base, **overrides})
+    def test_bad_scalars_rejected(self, command, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            run(resolve_config(command, None, overrides))
 
 
 class TestHardening:
@@ -205,6 +214,13 @@ class TestHardening:
     @pytest.mark.parametrize("command", ["simulate", "drain"])
     def test_reservoir_total_at_2_63_rejected(self, capsys, command):
         self.exits_2(capsys, [command, "--table", self.HUGE_TABLE], "2**63")
+
+    def test_finite_overdraw_writes_no_report(self, capsys, tmp_path):
+        path, out = tmp_path / "exp.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"table": [1] * 8, "mode": "finite", "samples": 9}))
+        argv = ["simulate", "--config", str(path), "--out", str(out)]
+        self.exits_2(capsys, argv, "bellstat: cannot draw 9 pairs from a bag of 8")
+        assert not out.exists()
 
     def test_finite_reservoir_total_at_2_63_rejected(self, capsys, tmp_path):
         path = tmp_path / "exp.json"
@@ -672,6 +688,12 @@ class TestEmission:
         parsed = json.loads(emit(report, "json"))
         assert parsed["results"]["omegas"] == report.results["omegas"]
         assert parsed["results"]["report"]["margin"] == report.results["report"]["margin"]
+
+    @pytest.mark.parametrize("command", ["exact", "simulate", "entropy", "counterexample"])
+    def test_results_hold_plain_json_values(self, command):
+        # A record or tuple left in the results would not equal its parsed JSON.
+        report = run(resolve_config(command, None, CSV_ROW_CASES[command]))
+        assert report.results == json.loads(emit(report, "json"))["results"]
 
     def test_unknown_format_rejected(self):
         report = run(resolve_config("exact", None, {"table": "1,1,1,1,1,1,1,1"}))

@@ -98,11 +98,6 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             sample(spec, 0)
 
-    def test_zero_workers_rejected(self):
-        spec = ReservoirSpec.infinite(PopulationTable.uniform(), seed=1)
-        with pytest.raises(ValidationError, match="workers must be >= 1"):
-            sample(spec, 1, workers=0)
-
 
 class TestDeterminism:
     def test_finite_sequences_are_reproducible(self):
@@ -118,11 +113,6 @@ class TestDeterminism:
         a = sample(ReservoirSpec.infinite(bag, seed=1), 1000)
         b = sample(ReservoirSpec.infinite(bag, seed=2), 1000)
         assert not np.array_equal(a, b)
-
-    def test_worker_count_never_changes_the_draws(self):
-        spec = ReservoirSpec.infinite(PopulationTable.uniform(), seed=5)
-        n = CHUNK_SIZE + 1234  # spans two chunks
-        assert np.array_equal(sample(spec, n, workers=1), sample(spec, n, workers=4))
 
     def test_infinite_chunks_follow_the_stream_contract(self):
         # chunk c is the c-th slice of CHUNK_SIZE draws, from Philox key c * 2**64 + seed
