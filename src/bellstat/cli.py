@@ -50,8 +50,17 @@ column: a list, or a 2-D array of the rows' number lists.  Any other list,
 short lists of dicts included, is written value by value.  Each command's CSV
 is a list of such columns.  JSON rows and CSV lines share one block pass:
 each block of up to 1024 rows becomes one string through one row template and
-one ``%``, number columns formatted by the ``%`` itself and any other column
-inserted as its value texts.
+one ``%``.  Int columns (an int array by its dtype) and short float columns
+are formatted by the ``%`` itself; any other column is inserted as its value
+texts.  A float64 array block of at least :data:`FLOAT_TEXTS_MIN` values, all
+finite, and an exact-float list column block that long are inserted as their
+:func:`~bellstat.floattext.float_texts`: the same ``%.17g`` texts, computed
+exactly in numpy for ``1e-4 <= |v| < 1e16`` and one by one for other values,
+so the bytes do not change.  A block with a non-finite number takes the ``%``
+path, which rejects it before any byte is written.  Block strings are
+gathered, as they come, into strings of at least :data:`_MAPPED_CHARS`
+characters, which malloc maps, so a large report's text goes back to the
+system when it is freed.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.  :func:`main` builds
 its parser once per process (:func:`build_parser` is cached) and reuses it on
@@ -116,6 +125,10 @@ MAX_SAMPLES = 10**8
 
 #: Upper bound on ``steps`` and on a drained bag's total: each is a report row.
 MAX_ROWS = 10**6
+
+#: Fewest values in a float block that :func:`_float_texts` formats; below it
+#: the ``%`` itself is faster (the two cross between 256 and 512 values).
+FLOAT_TEXTS_MIN = 512
 
 
 @dataclass(frozen=True)
@@ -242,23 +255,57 @@ def _texts(values: Sequence[Any], indent: int) -> list[str]:
     return list(map(to_text, values)) if to_text else [dumps_stable(v, indent) for v in values]
 
 
+def _float_texts(values: np.ndarray) -> list[str]:
+    """:func:`~bellstat.floattext.float_texts`, imported on first use: a
+    process that writes no long float column never compiles it."""
+    from .floattext import float_texts
+
+    return float_texts(values)
+
+
+def _value_columns(
+    block: Sequence[Any] | np.ndarray, texts: Callable[[Sequence[Any]], list[str]]
+) -> list[tuple[str, Sequence[Any]]]:
+    """Each value column of one column's block with its ``%`` piece.  A list
+    is one value column, a 2-D array one per array column.  An integer array
+    gets ``%d`` from its dtype; a float64 array of at least
+    :data:`FLOAT_TEXTS_MIN` values, all finite, and an exact-float list column
+    of that length get ``%s``, filled with their :func:`_float_texts`.  Any
+    other array is read once through ``.T.tolist()``, so it is checked like a
+    list: a number column fills in its ``%``, any other is filled with its
+    ``texts``."""
+    if isinstance(block, np.ndarray):
+        if block.dtype.kind in "iu":
+            return [("%d", cells) for cells in block.T.tolist()]
+        if block.size >= FLOAT_TEXTS_MIN and block.dtype == np.float64 and np.isfinite(block).all():
+            floats, n = _float_texts(block.T), len(block)
+            return [("%s", floats[j:j + n]) for j in range(0, block.size, n)]
+        lists = block.T.tolist()
+    else:
+        lists = [block]
+    columns = []
+    for cells in lists:
+        piece = _number(cells)
+        if piece == "%.17g" and len(cells) >= FLOAT_TEXTS_MIN:
+            piece, cells = "%s", _float_texts(np.array(cells))
+        elif piece is None:
+            piece, cells = "%s", texts(cells)
+        columns.append((piece, cells))
+    return columns
+
+
 def _blocks(
     columns: Sequence[Sequence[Any] | np.ndarray], texts: Callable[[Sequence[Any]], list[str]]
 ) -> Iterator[tuple[list[list[str]], list[Sequence[Any]]]]:
     """Each block of up to 1024 rows of ``columns`` as the ``%`` pieces of
-    each column and the value columns that fill them.  A list is one value
-    column, a 2-D array one per array column (read once through
-    ``.T.tolist()``, so it is checked like a list).  A number column fills in
-    its ``%``; any other column is filled with its ``texts``."""
+    each column and the value columns that fill them (see
+    :func:`_value_columns`)."""
     for i in range(0, len(columns[0]) if columns else 0, 1024):
         pieces, values = [], []
         for column in columns:
-            block, column_pieces = column[i:i + 1024], []
-            for cells in block.T.tolist() if isinstance(block, np.ndarray) else [block]:
-                piece = _number(cells)
-                column_pieces.append(piece or "%s")
-                values.append(cells if piece else texts(cells))
-            pieces.append(column_pieces)
+            pairs = _value_columns(column[i:i + 1024], texts)
+            pieces.append([piece for piece, _ in pairs])
+            values.extend(cells for _, cells in pairs)
         yield pieces, values
 
 
@@ -291,14 +338,38 @@ def _rows(columns: Columns, indent: int) -> Iterator[str]:
         yield _fill(row, ",\n" + "  " * indent, values)
 
 
+#: Characters of report text gathered into one string as the blocks come:
+#: malloc maps every allocation this large (32 MiB is glibc's highest mmap
+#: threshold), so the text goes back to the system when it is freed.  Block
+#: strings left on the heap could be pinned there by any later allocation,
+#: and a MAX_ROWS report's peak then held its text once more.
+_MAPPED_CHARS = 32 << 20
+
+
+def _gathered(parts: Iterable[str], sep: str) -> list[str]:
+    """``parts`` with each run that reaches :data:`_MAPPED_CHARS` characters
+    joined by ``sep``, so that ``sep.join`` of the result is ``sep.join(parts)``."""
+    gathered, run, size = [], [], 0
+    for part in parts:
+        run.append(part)
+        size += len(part)
+        if size >= _MAPPED_CHARS:
+            gathered.append(sep.join(run))
+            run, size = [], 0
+    return gathered + run
+
+
 def dumps_stable(obj: Any, indent: int = 0) -> str:
     if (to_text := _SCALARS.get(type(obj))) is not None:
         return to_text(obj)
     if isinstance(obj, (list, tuple, Columns)):
-        items = list(_rows(obj, indent + 1) if isinstance(obj, Columns) else _texts(obj, indent + 1))
+        inner = "  " * (indent + 1)
+        if isinstance(obj, Columns):
+            items = _gathered(_rows(obj, indent + 1), ",\n" + inner)
+        else:
+            items = _texts(obj, indent + 1)
         if not items:
             return "[]"
-        inner = "  " * (indent + 1)
         items[0] = "[\n" + inner + items[0]  # brackets on the ends: one join, no copy after it
         items[-1] += "\n" + "  " * indent + "]"
         return (",\n" + inner).join(items)
@@ -330,11 +401,12 @@ def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarr
     """The header line, then the rows of ``columns`` (each a list of cells,
     or a 2-D array that fills one CSV column per array column), each block
     as one string through one ``,``-joined row template."""
-    lines = [",".join(header)]
-    for pieces, values in _blocks(columns, lambda c: list(map(_csv_cell, c))):
-        lines.append(_fill(",".join(chain.from_iterable(pieces)), "\n", values))
-    lines.append("")  # the final newline, inside the one join
-    return "\n".join(lines)
+    blocks = (
+        _fill(",".join(chain.from_iterable(pieces)), "\n", values)
+        for pieces, values in _blocks(columns, lambda c: list(map(_csv_cell, c)))
+    )
+    # The final "" puts the last newline inside the one join.
+    return "\n".join(_gathered(chain([",".join(header)], blocks, [""]), "\n"))
 
 
 # ---------------------------------------------------------------------------

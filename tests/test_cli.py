@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from bellstat import ValidationError
 from bellstat.cli import (
     COMMANDS,
+    FLOAT_TEXTS_MIN,
     MAX_ROWS,
     MAX_SAMPLES,
     Columns,
@@ -789,8 +790,19 @@ def _float(rng):
     return x if math.isfinite(x) else rng.random()
 
 
+def _fast_float(rng):
+    """Mostly a float that ``float_texts`` writes in numpy, with
+    ``1e-4 <= |x| < 1e16``, log-uniform, either sign; now and then a signed
+    zero, which it writes one by one."""
+    if rng.random() < 0.05:
+        return rng.choice((0.0, -0.0))
+    x = 10.0 ** rng.uniform(-4.0, 15.99)
+    return -x if rng.random() < 0.5 else x
+
+
 _VALUES = {
     "float": _float,
+    "fast float": _fast_float,
     "int": lambda rng: rng.randint(-2**70, 2**70),
     "bool": lambda rng: rng.random() < 0.5,
 }
@@ -1001,7 +1013,10 @@ def _csv_tables(draw):
     """A header and rows whose columns are floats, ints or bools, with a few
     cells replaced by a value of another type; up to two blocks of rows."""
     kinds = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1, max_size=6))
-    n = draw(st.integers(0, 20) | st.integers(1020, 2100))
+    n = draw(
+        st.integers(0, 20) | st.sampled_from([FLOAT_TEXTS_MIN - 1, FLOAT_TEXTS_MIN])
+        | st.integers(1020, 2100)
+    )
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows = [[_VALUES[kind](rng) for kind in kinds] for _ in range(n)]
     for _ in range(draw(st.integers(0, 3)) if n else 0):
@@ -1030,21 +1045,23 @@ class TestCsvWriter:
             _csv_lines(("a", "b", "c"), _columns_of(rows))
 
 
-_COLUMN_KINDS = ("float", "int", "bool", "float array", "int array")
+_COLUMN_KINDS = ("float", "fast float", "int", "bool", "float array", "fast float array", "int array")
 
 
 @st.composite
 def _column_tables(draw, sizes):
     """A :class:`Columns` table with list columns of floats, ints or bools and
-    2-D float64 and int64 array columns, like the drain's and the scan's."""
+    2-D float64 and int64 array columns, like the drain's and the scan's.
+    The "fast float" kinds hold values that ``float_texts`` writes in numpy."""
     n = draw(sizes)
     width = draw(st.integers(1, 9))
     rng = random.Random(draw(st.integers(0, 2**32)))
     kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5))
     keys = draw(st.lists(_KEYS, min_size=len(kinds), max_size=len(kinds), unique=True))
     def column(kind):
-        if kind == "float array":
-            return np.array([[_float(rng) for _ in range(width)] for _ in range(n)])
+        if kind.endswith("float array"):
+            value = _VALUES[kind.removesuffix(" array")]
+            return np.array([[value(rng) for _ in range(width)] for _ in range(n)])
         if kind == "int array":
             return np.array([[rng.randint(-2**63, 2**63 - 1) for _ in range(width)] for _ in range(n)])
         return [_VALUES[kind](rng) for _ in range(n)]
@@ -1069,7 +1086,8 @@ class TestColumnTable:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         columns=_column_tables(
-            st.sampled_from([1, 1024, 1025]) | st.integers(1, 30) | st.integers(2049, 3100)
+            st.sampled_from([1, FLOAT_TEXTS_MIN - 1, FLOAT_TEXTS_MIN, 1024, 1025])
+            | st.integers(1, 30) | st.integers(2049, 3100)
         ),
         indent=st.integers(0, 3),
     )
@@ -1079,6 +1097,20 @@ class TestColumnTable:
         assert dumps_stable({"rows": columns}, indent) == reference_dumps({"rows": dicts}, indent)
         header = [f"c{i}" for i in range(len(csv_rows[0]))]
         assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
+
+    def test_text_gathered_into_long_strings_is_unchanged(self, monkeypatch):
+        rng = random.Random(5)
+        columns = Columns(
+            step=list(range(1, 3001)),
+            p=np.array([[_fast_float(rng) for _ in range(3)] for _ in range(3000)]),
+        )
+        dicts, csv_rows = _rows_of(columns)
+        header = ["step", "p1", "p2", "p3"]
+        # Every block, and then every row of the CSV's first one, ends a run.
+        for chars in (1, 20_000):
+            monkeypatch.setattr("bellstat.cli._MAPPED_CHARS", chars)
+            assert dumps_stable({"rows": columns}) == reference_dumps({"rows": dicts})
+            assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
 
     def test_no_rows_is_an_empty_list(self):
         empty = Columns(a=[], b=np.empty((0, 3)))
@@ -1093,19 +1125,24 @@ class TestColumnTable:
     def test_non_finite_in_an_array_column_of_a_late_block(self, monkeypatch, capsys):
         probabilities = np.full((2000, 8), 0.125)
         probabilities[1499, 5] = math.nan
-        steps = Columns(step=list(range(1, 2001)), conditional_probabilities=probabilities)
-        with pytest.raises(ValidationError, match="non-finite"):
-            dumps_stable({"steps": steps})
-        fake = Command(
-            help="", inputs=COMMANDS["exact"].inputs,
-            run=lambda config: {"steps": steps}, csv_header=("step",),
-            csv_columns=lambda results: list(results["steps"].values()),
-        )
-        monkeypatch.setitem(COMMANDS, "exact", fake)
-        for fmt in ("json", "csv"):
-            assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 2
-            err = capsys.readouterr().err
-            assert err == "bellstat: cannot serialize non-finite number nan\n"
+        # One array column whose late block holds FLOAT_TEXTS_MIN values,
+        # the fewest that float_texts formats, with its NaN in the last row.
+        fast = np.full((1024 + FLOAT_TEXTS_MIN, 1), 0.375)
+        fast[-1, 0] = math.nan
+        for column in (probabilities, fast):
+            steps = Columns(step=list(range(1, len(column) + 1)), conditional_probabilities=column)
+            with pytest.raises(ValidationError, match="non-finite"):
+                dumps_stable({"steps": steps})
+            fake = Command(
+                help="", inputs=COMMANDS["exact"].inputs,
+                run=lambda config: {"steps": steps}, csv_header=("step",),
+                csv_columns=lambda results: list(results["steps"].values()),
+            )
+            monkeypatch.setitem(COMMANDS, "exact", fake)
+            for fmt in ("json", "csv"):
+                assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 2
+                out, err = capsys.readouterr()
+                assert (out, err) == ("", "bellstat: cannot serialize non-finite number nan\n")
 
 
 def sha256(text):
