@@ -32,11 +32,14 @@ and any other given key outside that form exits 2 with one line naming it
 that depends on it, such as a finite bag's overdraw, is made by the library
 step that reads the values.
 
-Every library record in ``results`` (a joint outcome, a term, an inequality
-report, an estimate) is written by one rule, :func:`_record`: the dict of its
-fields whose value is set (``None`` and an empty ``note`` are left out), with
-nested records and tuples written the same way.  An outcome also carries its
-``label``, and an estimate gets its ``reference`` where the command adds it.
+Every library value in ``config`` and ``results`` is turned into a report
+value by one rule, :func:`_record`.  A record (a joint outcome, a term, an
+inequality report, an estimate) becomes the dict of its fields whose value is
+set (``None`` and an empty ``note`` are left out), with nested records and
+tuples written the same way.  An outcome also carries its ``label``, and an
+estimate gets its ``reference`` where the command adds it.  A population
+table becomes its counts, a multiplicity vector its omegas, and an axis
+triple ``{label: direction}``.
 
 Reports have a stable top-level schema ``{config, results, meta}``
 (schema id bellstat-report/1).  Identical configs yield byte-identical
@@ -46,21 +49,20 @@ significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
 :func:`dumps_stable`, fills a cached template per dict shape, writing each value
 of an exact scalar type inline; only containers and subclasses recurse.  Report rows
 (scan points, drain steps) are handed over as a :class:`Columns` table, key ->
-column: a list, or a 2-D array of the rows' number lists.  Any other list,
-short lists of dicts included, is written value by value.  Each command's CSV
-is a list of such columns.  JSON rows and CSV lines share one block pass:
-each block of up to 1024 rows becomes one string through one row template and
-one ``%``.  Int columns (an int array by its dtype) and short float columns
-are formatted by the ``%`` itself; any other column is inserted as its value
-texts.  A float64 array block of at least :data:`FLOAT_TEXTS_MIN` values, all
-finite, and an exact-float list column block that long are inserted as their
-:func:`~bellstat.floattext.float_texts`: the same ``%.17g`` texts, computed
-exactly in numpy for ``1e-4 <= |v| < 1e16`` and one by one for other values,
-so the bytes do not change.  A block with a non-finite number takes the ``%``
-path, which rejects it before any byte is written.  Block strings are
-gathered, as they come, into strings of at least :data:`_MAPPED_CHARS`
-characters, which malloc maps, so a large report's text goes back to the
-system when it is freed.
+column: a 1-D array of one number per row, a 2-D array of the rows' number
+lists, or a list.  Any other list, short lists of dicts included, is written
+value by value.  Each command's CSV is a list of such columns.  JSON rows and
+CSV lines share one block pass: each block of up to 1024 rows becomes one
+string through one row template and one ``%``.  One rule, on the column's
+type alone, fills it: an integer array gets ``%d``; a finite float64 array
+gets ``%.17g``, or from :data:`FLOAT_TEXTS_MIN` values up its
+:func:`~bellstat.floattext.float_texts` (the same texts, computed exactly in
+numpy for ``1e-4 <= |v| < 1e16`` and one by one for other values, so the
+bytes do not change); every other block, a list or a non-finite or
+non-float64 array, is filled with its value texts, which reject a NaN before
+any byte is written.  Block strings are gathered, as they come, into strings
+of at least :data:`_MAPPED_CHARS` characters, which malloc maps, so a large
+report's text goes back to the system when it is freed.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.  :func:`main` builds
 its parser once per process (:func:`build_parser` is cached) and reuses it on
@@ -238,21 +240,13 @@ def _template(keys: tuple[str, ...], indent: int, pieces: tuple[str, ...] | None
     return "{\n" + items + "\n" + "  " * indent + "}"
 
 
-def _number(values: Sequence[Any]) -> str | None:
-    """The ``%`` piece of a column of exact finite floats or exact ints, else None."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return "%.17g" if all(map(math.isfinite, values)) else None
-    return "%d" if kinds == {int} else None
-
-
 def _texts(values: Sequence[Any], indent: int) -> list[str]:
-    """JSON texts of ``values`` at ``indent``, in one pass when all share a scalar type."""
-    if (piece := _number(values)) is not None:
-        return ((piece + "\0") * len(values) % tuple(values)).split("\0")[:-1]
-    kinds = set(map(type, values))
-    to_text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(to_text, values)) if to_text else [dumps_stable(v, indent) for v in values]
+    """JSON texts of ``values`` at ``indent``: a value of an exact scalar type
+    inline, any other through :func:`dumps_stable`."""
+    return [
+        to_text(v) if (to_text := _SCALARS.get(type(v))) else dumps_stable(v, indent)
+        for v in values
+    ]
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
@@ -266,32 +260,23 @@ def _float_texts(values: np.ndarray) -> list[str]:
 def _value_columns(
     block: Sequence[Any] | np.ndarray, texts: Callable[[Sequence[Any]], list[str]]
 ) -> list[tuple[str, Sequence[Any]]]:
-    """Each value column of one column's block with its ``%`` piece.  A list
-    is one value column, a 2-D array one per array column.  An integer array
-    gets ``%d`` from its dtype; a float64 array of at least
-    :data:`FLOAT_TEXTS_MIN` values, all finite, and an exact-float list column
-    of that length get ``%s``, filled with their :func:`_float_texts`.  Any
-    other array is read once through ``.T.tolist()``, so it is checked like a
-    list: a number column fills in its ``%``, any other is filled with its
-    ``texts``."""
-    if isinstance(block, np.ndarray):
-        if block.dtype.kind in "iu":
-            return [("%d", cells) for cells in block.T.tolist()]
-        if block.size >= FLOAT_TEXTS_MIN and block.dtype == np.float64 and np.isfinite(block).all():
-            floats, n = _float_texts(block.T), len(block)
-            return [("%s", floats[j:j + n]) for j in range(0, block.size, n)]
-        lists = block.T.tolist()
-    else:
-        lists = [block]
-    columns = []
-    for cells in lists:
-        piece = _number(cells)
-        if piece == "%.17g" and len(cells) >= FLOAT_TEXTS_MIN:
-            piece, cells = "%s", _float_texts(np.array(cells))
-        elif piece is None:
-            piece, cells = "%s", texts(cells)
-        columns.append((piece, cells))
-    return columns
+    """Each value column of one column's block with its ``%`` piece, by the
+    column's type alone.  A list is one value column, filled with its
+    ``texts``.  An array gives one value column per array column: ``%d`` for
+    an integer dtype; ``%.17g`` for finite float64, or ``%s`` filled with its
+    :func:`_float_texts` from :data:`FLOAT_TEXTS_MIN` values up; any other
+    array (non-finite, bool, float32) is filled with its value ``texts``."""
+    if not isinstance(block, np.ndarray):
+        return [("%s", texts(block))]
+    columns = np.atleast_2d(block.T)
+    if block.dtype.kind in "iu":
+        return [("%d", cells) for cells in columns.tolist()]
+    if block.dtype != np.float64 or not np.isfinite(block).all():
+        return [("%s", texts(cells)) for cells in columns.tolist()]
+    if block.size < FLOAT_TEXTS_MIN:
+        return [("%.17g", cells) for cells in columns.tolist()]
+    floats, n = _float_texts(columns), len(block)
+    return [("%s", floats[j:j + n]) for j in range(0, block.size, n)]
 
 
 def _blocks(
@@ -317,19 +302,19 @@ def _fill(row: str, sep: str, values: Sequence[Sequence[Any]]) -> str:
 
 
 class Columns(dict):
-    """Report rows held by column, ``key -> column``: a list of scalars, or a
-    2-D int64/float64 array whose rows are the rows' fixed-length number
-    lists.  :func:`dumps_stable` writes it as the list of same-keyed objects
-    it stands for."""
+    """Report rows held by column, ``key -> column``: a 1-D array (one number
+    per row), a 2-D array (one fixed-length number list per row) or a list
+    (one value per row, written value by value).  :func:`dumps_stable` writes
+    it as the list of same-keyed objects it stands for."""
 
 
 def _rows(columns: Columns, indent: int) -> Iterator[str]:
     """The rows at ``indent``, each block as one string: one row template,
-    with a ``[...]`` piece per array column, repeated over the block."""
+    with a ``[...]`` piece per 2-D array column, repeated over the block."""
     keys = sorted(columns)
     names = tuple(map(str, keys))
     inner, close = "\n" + "  " * (indent + 2), "\n" + "  " * (indent + 1) + "]"
-    arrays = [isinstance(columns[k], np.ndarray) for k in keys]
+    arrays = [getattr(columns[k], "ndim", 1) == 2 for k in keys]
     for pieces, values in _blocks([columns[k] for k in keys], lambda c: _texts(c, indent + 1)):
         row = _template(names, indent, tuple(
             "[" + ",".join(inner + p for p in column) + close if array else column[0]
@@ -377,11 +362,7 @@ def dumps_stable(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "{}"
         keys = sorted(obj)
-        texts = []
-        for k in keys:  # scalars inline; containers and subclasses recurse
-            value = obj[k]
-            to_text = _SCALARS.get(type(value))
-            texts.append(to_text(value) if to_text else dumps_stable(value, indent + 1))
+        texts = _texts([obj[k] for k in keys], indent + 1)
         return _template(tuple(map(str, keys)), indent) % tuple(texts)
     for kind in (int, float, str):  # subclasses: np.float64 formats as a float
         if isinstance(obj, kind):
@@ -398,9 +379,10 @@ def _csv_cell(v: Any) -> str:
 
 
 def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]) -> str:
-    """The header line, then the rows of ``columns`` (each a list of cells,
-    or a 2-D array that fills one CSV column per array column), each block
-    as one string through one ``,``-joined row template."""
+    """The header line, then the rows of ``columns`` (each a list of cells, a
+    1-D array of one cell per row, or a 2-D array that fills one CSV column
+    per array column), each block as one string through one ``,``-joined row
+    template, filled by the one rule of :func:`_value_columns`."""
     blocks = (
         _fill(",".join(chain.from_iterable(pieces)), "\n", values)
         for pieces, values in _blocks(columns, lambda c: list(map(_csv_cell, c)))
@@ -421,12 +403,20 @@ _RECORDS = frozenset((PairOutcome, Term, InequalityReport, EmpiricalEstimate))
 
 
 def _record(obj: Any) -> Any:
-    """A record as the dict of its set fields (``None`` and an empty ``note``
-    left out), an outcome with its ``label`` too; a tuple as the list of its
-    items' records; any other value as it is."""
+    """A library value as a report value: a record as the dict of its set
+    fields (``None`` and an empty ``note`` left out), an outcome with its
+    ``label`` too; a tuple as the list of its items' records; a population
+    table as its counts, a multiplicity vector as its omegas and an axis
+    triple as ``{label: direction}``; any other value as it is."""
     kind = type(obj)
     if kind is tuple:
         return [_record(item) for item in obj]
+    if kind is PopulationTable:
+        return _record(obj.counts)
+    if kind is MultiplicityVector:
+        return _record(obj.omegas)
+    if kind is AxisTriple:
+        return {axis.label: _record(axis.direction) for axis in (obj.a, obj.b, obj.c)}
     if kind not in _RECORDS:
         return obj
     record = {key: _record(value) for key, value in vars(obj).items()
@@ -436,20 +426,10 @@ def _record(obj: Any) -> Any:
     return record
 
 
-def _echo_value(value: Any) -> Any:
-    if isinstance(value, PopulationTable):
-        return list(value.counts)
-    if isinstance(value, MultiplicityVector):
-        return list(value.omegas)
-    if isinstance(value, AxisTriple):
-        return {axis.label: list(axis.direction) for axis in (value.a, value.b, value.c)}
-    return value
-
-
 def _config_echo(config: ExperimentConfig) -> dict:
     """Every config field except ``out``, which names where the report goes."""
     return {
-        f.name: _echo_value(getattr(config, f.name)) for f in fields(config) if f.name != "out"
+        f.name: _record(getattr(config, f.name)) for f in fields(config) if f.name != "out"
     }
 
 
@@ -565,8 +545,8 @@ def _run_drain(config: ExperimentConfig) -> dict:
     before = counts[:-1]
     probabilities = before / before.sum(axis=1, keepdims=True)
     steps = Columns(
-        step=list(range(1, len(populations) + 1)),
-        population=populations.tolist(),
+        step=np.arange(1, len(populations) + 1),
+        population=populations,
         conditional_probabilities=probabilities,
         remaining=counts[1:],
     )
@@ -618,8 +598,8 @@ def _run_quantum(config: ExperimentConfig) -> dict:
         theta_deg *= deg
         theta_deg /= steps
         scan = Columns(
-            theta_deg=theta_deg.tolist(),
-            lhs=points.lhs, rhs=points.rhs, violated=points.violated,
+            theta_deg=theta_deg, lhs=np.array(points.lhs), rhs=np.array(points.rhs),
+            violated=points.violated,
         )
 
     counts = singlet_sample(axes, config.samples, config.seed)
@@ -654,7 +634,7 @@ def _run_entropy(config: ExperimentConfig) -> dict:
     except ValidationError:
         ratios = None
     return {
-        "omegas": list(v.omegas),
+        "omegas": _record(v),
         "multiplicity_inequality": _record(multiplicity_inequality(v, config.epsilon)),
         "product_inequality": _record(product_inequality(v)),
         "entropy_inequality": _record(entropy_inequality(v)),
@@ -687,7 +667,7 @@ def _run_counterexample(config: ExperimentConfig) -> dict:
     return {
         "budget": config.samples,
         "found": True,
-        "omegas": list(found.omegas),
+        "omegas": _record(found),
         "report": _record(multiplicity_inequality(found, config.epsilon)),
     }
 

@@ -621,13 +621,13 @@ class TestRun:
         )
         theta_deg = run(config).results["scan"]["theta_deg"]
         expected = [spacing_deg * k / steps for k in range(1, steps + 1)]
-        assert repr(theta_deg) == repr(expected)
+        assert repr(theta_deg.tolist()) == repr(expected)
 
     def test_drain_reaches_certainty(self):
         config = resolve_config("drain", None, {"table": "2,1,0,0,0,0,0,0"})
         report = run(config)
         assert report.results["final_conditional_probability"] == 1.0
-        assert report.results["steps"]["step"] == [1, 2, 3]
+        assert report.results["steps"]["step"].tolist() == [1, 2, 3]
 
     def test_simulate_estimates_carry_references(self):
         config = resolve_config(
@@ -1045,26 +1045,36 @@ class TestCsvWriter:
             _csv_lines(("a", "b", "c"), _columns_of(rows))
 
 
-_COLUMN_KINDS = ("float", "fast float", "int", "bool", "float array", "fast float array", "int array")
+_COLUMN_KINDS = (
+    "float", "fast float", "int", "bool", "float array", "fast float array", "int array",
+    "1-D float array", "1-D fast float array", "1-D int array", "1-D bool array",
+)
+
+
+def _int64(rng):
+    """An int that an int64 array holds."""
+    return rng.randint(-2**63, 2**63 - 1)
 
 
 @st.composite
 def _column_tables(draw, sizes):
-    """A :class:`Columns` table with list columns of floats, ints or bools and
-    2-D float64 and int64 array columns, like the drain's and the scan's.
-    The "fast float" kinds hold values that ``float_texts`` writes in numpy."""
+    """A :class:`Columns` table with list columns of floats, ints or bools,
+    1-D float64, int64 and bool array columns, and 2-D float64 and int64 array
+    columns, like the drain's and the scan's.  The "fast float" kinds hold
+    values that ``float_texts`` writes in numpy."""
     n = draw(sizes)
     width = draw(st.integers(1, 9))
     rng = random.Random(draw(st.integers(0, 2**32)))
     kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5))
     keys = draw(st.lists(_KEYS, min_size=len(kinds), max_size=len(kinds), unique=True))
     def column(kind):
-        if kind.endswith("float array"):
-            value = _VALUES[kind.removesuffix(" array")]
+        name = kind.removeprefix("1-D ").removesuffix(" array")
+        value = _int64 if name == "int" and kind != name else _VALUES[name]
+        if kind.startswith("1-D "):
+            return np.array([value(rng) for _ in range(n)])
+        if kind.endswith(" array"):
             return np.array([[value(rng) for _ in range(width)] for _ in range(n)])
-        if kind == "int array":
-            return np.array([[rng.randint(-2**63, 2**63 - 1) for _ in range(width)] for _ in range(n)])
-        return [_VALUES[kind](rng) for _ in range(n)]
+        return [value(rng) for _ in range(n)]
     return Columns((key, column(kind)) for key, kind in zip(keys, kinds))
 
 
@@ -1129,7 +1139,10 @@ class TestColumnTable:
         # the fewest that float_texts formats, with its NaN in the last row.
         fast = np.full((1024 + FLOAT_TEXTS_MIN, 1), 0.375)
         fast[-1, 0] = math.nan
-        for column in (probabilities, fast):
+        # A 1-D column, one number per row, with its NaN in the second block.
+        theta = np.full(2000, 0.25)
+        theta[1499] = math.nan
+        for column in (probabilities, fast, theta):
             steps = Columns(step=list(range(1, len(column) + 1)), conditional_probabilities=column)
             with pytest.raises(ValidationError, match="non-finite"):
                 dumps_stable({"steps": steps})
