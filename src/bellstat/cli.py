@@ -59,10 +59,20 @@ gets ``%.17g``, or from :data:`FLOAT_TEXTS_MIN` values up its
 :func:`~bellstat.floattext.float_texts` (the same texts, computed exactly in
 numpy for ``1e-4 <= |v| < 1e16`` and one by one for other values, so the
 bytes do not change); every other block, a list or a non-finite or
-non-float64 array, is filled with its value texts, which reject a NaN before
-any byte is written.  Block strings are gathered, as they come, into strings
-of at least :data:`_MAPPED_CHARS` characters, which malloc maps, so a large
-report's text goes back to the system when it is freed.
+non-float64 array, is filled with its value texts, which reject a NaN.
+
+:func:`main` writes the report while it is made, block by block, to stdout
+or the ``--out`` file, and never holds its whole text.  Everything but the
+:class:`Columns` tables (config, meta, every other result) is made first, as
+one text; each table's blocks of up to 1024 rows are then made and written
+one at a time.  Before the first byte is written, in a table longer than one
+block, every float64 array column passes one ``np.isfinite(...).all()`` and
+every list column a check of its value types; a table of one block, or one
+with a column these checks cannot clear, is made into text there, which
+raises the writer's own error.  So a report that fails exits 2 and writes
+nothing.  Exit 3 (a failed write) can leave a partial stdout or ``--out``
+file, as a failed write of the whole text could.  :func:`dumps_stable`,
+:func:`emit` and ``_csv_lines`` join the same pieces into one string.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.  :func:`main` builds
 its parser once per process (:func:`build_parser` is cached) and reuses it on
@@ -131,6 +141,9 @@ MAX_ROWS = 10**6
 #: Fewest values in a float block that :func:`_float_texts` formats; below it
 #: the ``%`` itself is faster (the two cross between 256 and 512 values).
 FLOAT_TEXTS_MIN = 512
+
+#: Rows of a report table made into one string, and written as one piece.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -240,11 +253,13 @@ def _template(keys: tuple[str, ...], indent: int, pieces: tuple[str, ...] | None
     return "{\n" + items + "\n" + "  " * indent + "}"
 
 
-def _texts(values: Sequence[Any], indent: int) -> list[str]:
+def _texts(
+    values: Sequence[Any], indent: int, tables: list[Iterator[str]] | None = None
+) -> list[str]:
     """JSON texts of ``values`` at ``indent``: a value of an exact scalar type
-    inline, any other through :func:`dumps_stable`."""
+    inline, any other through :func:`_text` with ``tables``."""
     return [
-        to_text(v) if (to_text := _SCALARS.get(type(v))) else dumps_stable(v, indent)
+        to_text(v) if (to_text := _SCALARS.get(type(v))) else _text(v, indent, tables)
         for v in values
     ]
 
@@ -282,13 +297,13 @@ def _value_columns(
 def _blocks(
     columns: Sequence[Sequence[Any] | np.ndarray], texts: Callable[[Sequence[Any]], list[str]]
 ) -> Iterator[tuple[list[list[str]], list[Sequence[Any]]]]:
-    """Each block of up to 1024 rows of ``columns`` as the ``%`` pieces of
+    """Each block of up to :data:`_BLOCK_ROWS` rows of ``columns`` as the ``%`` pieces of
     each column and the value columns that fill them (see
     :func:`_value_columns`)."""
-    for i in range(0, len(columns[0]) if columns else 0, 1024):
+    for i in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
         pieces, values = [], []
         for column in columns:
-            pairs = _value_columns(column[i:i + 1024], texts)
+            pairs = _value_columns(column[i:i + _BLOCK_ROWS], texts)
             pieces.append([piece for piece, _ in pairs])
             values.extend(cells for _, cells in pairs)
         yield pieces, values
@@ -323,38 +338,62 @@ def _rows(columns: Columns, indent: int) -> Iterator[str]:
         yield _fill(row, ",\n" + "  " * indent, values)
 
 
-#: Characters of report text gathered into one string as the blocks come:
-#: malloc maps every allocation this large (32 MiB is glibc's highest mmap
-#: threshold), so the text goes back to the system when it is freed.  Block
-#: strings left on the heap could be pinned there by any later allocation,
-#: and a MAX_ROWS report's peak then held its text once more.
-_MAPPED_CHARS = 32 << 20
+#: Types of list values whose texts cannot fail, in JSON or in CSV.
+_PLAIN = frozenset((bool, int, str, type(None)))
 
 
-def _gathered(parts: Iterable[str], sep: str) -> list[str]:
-    """``parts`` with each run that reaches :data:`_MAPPED_CHARS` characters
-    joined by ``sep``, so that ``sep.join`` of the result is ``sep.join(parts)``."""
-    gathered, run, size = [], [], 0
-    for part in parts:
-        run.append(part)
-        size += len(part)
-        if size >= _MAPPED_CHARS:
-            gathered.append(sep.join(run))
-            run, size = [], 0
-    return gathered + run
+def _plain(column: Sequence[Any] | np.ndarray) -> bool:
+    """Whether every value of ``column`` has a text, told without making one:
+    an integer or bool array, a finite float64 array, or a list of
+    :data:`_PLAIN` values."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        return kind in "iub" or (column.dtype == np.float64 and bool(np.isfinite(column).all()))
+    return set(map(type, column)) <= _PLAIN
 
 
-def dumps_stable(obj: Any, indent: int = 0) -> str:
+def _checked(
+    columns: Iterable[Sequence[Any] | np.ndarray], blocks: Iterator[str]
+) -> Iterator[str]:
+    """``blocks``, the text of ``columns``, made such that writing them cannot
+    raise :class:`ValidationError`.  A table of one block is made here.  A
+    longer one is left lazy when every column is :func:`_plain`, else it is
+    made here too, which raises the writer's own error in its own order."""
+    columns = list(columns)
+    if columns and len(columns[0]) > _BLOCK_ROWS and all(map(_plain, columns)):
+        return blocks
+    return iter(list(blocks))
+
+
+def _bracketed(blocks: Iterator[str], indent: int) -> Iterator[str]:
+    """A table's JSON list at ``indent``, one piece per block of rows: its
+    separator, then its rows; the closing bracket is a piece of its own."""
+    inner = "\n" + "  " * (indent + 1)
+    lead = "[" + inner
+    for block in blocks:
+        yield lead + block
+        lead = "," + inner
+    yield "[]" if lead[0] == "[" else "\n" + "  " * indent + "]"
+
+
+def _text(obj: Any, indent: int, tables: list[Iterator[str]] | None) -> str:
+    """The JSON text of ``obj`` at ``indent``.  Each :class:`Columns` is
+    checked (:func:`_checked`) where it is met; with ``tables`` it stands in
+    the text as one ``"\\0"``, which no other JSON text holds, and its pieces
+    are appended to ``tables`` in text order.  Without, it is written inline."""
     if (to_text := _SCALARS.get(type(obj))) is not None:
         return to_text(obj)
-    if isinstance(obj, (list, tuple, Columns)):
-        inner = "  " * (indent + 1)
-        if isinstance(obj, Columns):
-            items = _gathered(_rows(obj, indent + 1), ",\n" + inner)
-        else:
-            items = _texts(obj, indent + 1)
-        if not items:
+    if isinstance(obj, Columns):
+        table = _bracketed(_checked(obj.values(), _rows(obj, indent + 1)), indent)
+        if tables is None:
+            return "".join(table)
+        tables.append(table)
+        return "\0"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
+        inner = "  " * (indent + 1)
+        items = _texts(obj, indent + 1, tables)
         items[0] = "[\n" + inner + items[0]  # brackets on the ends: one join, no copy after it
         items[-1] += "\n" + "  " * indent + "]"
         return (",\n" + inner).join(items)
@@ -362,12 +401,27 @@ def dumps_stable(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "{}"
         keys = sorted(obj)
-        texts = _texts([obj[k] for k in keys], indent + 1)
+        texts = _texts([obj[k] for k in keys], indent + 1, tables)
         return _template(tuple(map(str, keys)), indent) % tuple(texts)
     for kind in (int, float, str):  # subclasses: np.float64 formats as a float
         if isinstance(obj, kind):
             return _SCALARS[kind](obj)
     raise ValidationError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+
+
+def _parts(obj: Any, indent: int = 0, end: str = "") -> Iterator[str]:
+    """The JSON text of ``obj`` at ``indent``, then ``end``, as the pieces
+    :func:`main` writes: everything but the :class:`Columns` tables is made
+    here, as one text, and each table's blocks are spliced in as they are made.
+    A text without a table is one piece.  Any :class:`ValidationError` is
+    raised by this call, never while the pieces are made."""
+    tables: list[Iterator[str]] = []
+    pieces = (_text(obj, indent, tables) + end).split("\0")
+    return chain(pieces[:1], *(chain(t, [p]) for t, p in zip(tables, pieces[1:])))
+
+
+def dumps_stable(obj: Any, indent: int = 0) -> str:
+    return "".join(_parts(obj, indent))
 
 
 def _csv_cell(v: Any) -> str:
@@ -378,17 +432,24 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
-def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]) -> str:
+def _csv_parts(
+    header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]
+) -> Iterator[str]:
     """The header line, then the rows of ``columns`` (each a list of cells, a
     1-D array of one cell per row, or a 2-D array that fills one CSV column
     per array column), each block as one string through one ``,``-joined row
-    template, filled by the one rule of :func:`_value_columns`."""
-    blocks = (
-        _fill(",".join(chain.from_iterable(pieces)), "\n", values)
+    template, filled by the one rule of :func:`_value_columns`.  Each block is
+    one piece, the header goes with the first; any :class:`ValidationError` is
+    raised by this call (see :func:`_checked`)."""
+    blocks = _checked(columns, (
+        _fill(",".join(chain.from_iterable(pieces)), "\n", values) + "\n"
         for pieces, values in _blocks(columns, lambda c: list(map(_csv_cell, c)))
-    )
-    # The final "" puts the last newline inside the one join.
-    return "\n".join(_gathered(chain([",".join(header)], blocks, [""]), "\n"))
+    ))
+    return chain([",".join(header) + "\n" + next(blocks, "")], blocks)
+
+
+def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]) -> str:
+    return "".join(_csv_parts(header, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -705,14 +766,21 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     )
 
 
-def emit(report: RunReport, fmt: str) -> str:
-    """Serialize a report: one stable JSON document, or CSV rows per step."""
+def _report_parts(report: RunReport, fmt: str) -> Iterator[str]:
+    """A report's text as the pieces :func:`main` writes: one stable JSON
+    document, or CSV rows per step.  Any :class:`ValidationError` is raised by
+    this call, never while the pieces are made."""
     if fmt == "json":
-        return dumps_stable(report.document()) + "\n"
+        return _parts(report.document(), end="\n")
     if fmt == "csv":
         command = COMMANDS[report.config["command"]]
-        return _csv_lines(command.csv_header, command.csv_columns(report.results))
+        return _csv_parts(command.csv_header, command.csv_columns(report.results))
     raise ValidationError(f"unknown format {fmt!r}")
+
+
+def emit(report: RunReport, fmt: str) -> str:
+    """Serialize a report: one stable JSON document, or CSV rows per step."""
+    return "".join(_report_parts(report, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -876,16 +944,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = resolve_config(args.command, args.config, overrides)
         report = run(config, workers=args.workers)
-        text = emit(report, config.format)
+        parts = _report_parts(report, config.format)
     except ValidationError as exc:
         print(f"bellstat: {exc}", file=sys.stderr)
         return 2
     try:
         if config.out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
         else:
             with open(config.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(parts)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"bellstat: cannot write output: {exc}", file=sys.stderr)
         return 3

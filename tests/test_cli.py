@@ -26,6 +26,8 @@ from bellstat.cli import (
     Command,
     RunReport,
     _csv_lines,
+    _csv_parts,
+    _parts,
     build_parser,
     dumps_stable,
     emit,
@@ -1108,7 +1110,7 @@ class TestColumnTable:
         header = [f"c{i}" for i in range(len(csv_rows[0]))]
         assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
 
-    def test_text_gathered_into_long_strings_is_unchanged(self, monkeypatch):
+    def test_streamed_pieces_join_to_the_text_one_block_each(self):
         rng = random.Random(5)
         columns = Columns(
             step=list(range(1, 3001)),
@@ -1116,11 +1118,14 @@ class TestColumnTable:
         )
         dicts, csv_rows = _rows_of(columns)
         header = ["step", "p1", "p2", "p3"]
-        # Every block, and then every row of the CSV's first one, ends a run.
-        for chars in (1, 20_000):
-            monkeypatch.setattr("bellstat.cli._MAPPED_CHARS", chars)
-            assert dumps_stable({"rows": columns}) == reference_dumps({"rows": dicts})
-            assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
+        pieces = list(_parts({"rows": columns}))
+        assert "".join(pieces) == reference_dumps({"rows": dicts})
+        # The text before the table, a piece per block, the bracket, the rest.
+        assert [piece.count('"step": ') for piece in pieces] == [0, 1024, 1024, 952, 0, 0]
+        lines = list(_csv_parts(header, list(columns.values())))
+        assert "".join(lines) == reference_csv(header, csv_rows)
+        # The header goes with the first block.
+        assert [piece.count("\n") for piece in lines] == [1025, 1024, 952]
 
     def test_no_rows_is_an_empty_list(self):
         empty = Columns(a=[], b=np.empty((0, 3)))
@@ -1156,6 +1161,105 @@ class TestColumnTable:
                 assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 2
                 out, err = capsys.readouterr()
                 assert (out, err) == ("", "bellstat: cannot serialize non-finite number nan\n")
+
+
+class _Pieces(io.StringIO):
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, piece):
+        self.pieces.append(piece)
+        return super().write(piece)
+
+
+def _fake_exact(monkeypatch, results, csv_columns):
+    """Make ``exact`` (run with ``--config wigner-uniform``) report ``results``
+    and write ``csv_columns`` as its CSV rows."""
+    fake = Command(
+        help="", inputs=COMMANDS["exact"].inputs, run=lambda config: results,
+        csv_header=tuple(f"c{i}" for i in range(len(csv_columns))),
+        csv_columns=lambda results: csv_columns,
+    )
+    monkeypatch.setitem(COMMANDS, "exact", fake)
+
+
+def _late(value, n=2000, at=1500):
+    """A list column of ``n`` halves with ``value`` in row ``at``, in the second block."""
+    column = [0.5] * n
+    column[at] = value
+    return column
+
+
+class TestStreamedReport:
+    """:func:`main` writes a report while it is made, one piece per block of
+    rows, and writes nothing when the report fails."""
+
+    STEPS = Columns(step=np.arange(1, 2001), p=np.full((2000, 3), 0.25))
+
+    # name -> (results, CSV columns).  CSV writes every value but a
+    # non-finite float with str, so its unwritable value is a numpy inf.
+    FAILING = {
+        "nan after the table": (
+            {"steps": STEPS, "z": math.nan}, [*STEPS.values(), [math.nan] * 2000],
+        ),
+        "nan in a late block of a list column": (
+            {"steps": Columns(STEPS, q=_late(math.nan))}, [*STEPS.values(), _late(math.nan)],
+        ),
+        "unserializable value after the table": (
+            {"steps": STEPS, "z": object()}, [*STEPS.values(), _late(np.float64(-math.inf))],
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", FAILING)
+    def test_exit_2_writes_nothing(self, name, fmt, monkeypatch, capsys, tmp_path):
+        _fake_exact(monkeypatch, *self.FAILING[name])
+        argv = ["exact", "--config", "wigner-uniform", "--format", fmt]
+        target = tmp_path / f"report.{fmt}"
+        for dest in ([], ["--out", str(target)]):
+            assert main(argv + dest) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("bellstat: cannot serialize ") and err.count("\n") == 1
+            assert not target.exists()
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        columns=_column_tables(st.sampled_from([1, 1024, 1025]) | st.integers(2049, 3100)),
+        fmt=st.sampled_from(["json", "csv"]),
+    )
+    def test_pieces_join_to_the_emitted_report(self, columns, fmt):
+        reports, out = [], _Pieces()
+        with pytest.MonkeyPatch.context() as patch:
+            _fake_exact(patch, {"rows": columns, "z": 1}, list(columns.values()))
+            patch.setattr("bellstat.cli.run", lambda *a, **k: reports.append(run(*a, **k)) or reports[-1])
+            patch.setattr(sys, "stdout", out)
+            assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 0
+            assert "".join(out.pieces) == emit(reports[0], fmt)
+        n = len(next(iter(columns.values())))
+        blocks = [min(1024, n - i) for i in range(0, n, 1024)]
+        if fmt == "json":
+            # Each row opens at results.rows' row indent; no piece holds two blocks.
+            rows = [piece.count("\n      {") for piece in out.pieces]
+            assert [r for r in rows if r] == blocks
+        else:
+            assert [piece.count("\n") for piece in out.pieces] == [1 + blocks[0], *blocks[1:]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--table", "1,2,3,4,5,6,7,8"],
+        ["simulate", "--table", "2,1,1,1,1,1,1,1", "--samples", "5000"],
+        ["entropy", "--omegas", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,2"],
+        ["counterexample", "--samples", "200"],
+    ], ids=lambda argv: argv[0])
+    def test_a_report_without_a_table_is_one_piece(self, argv, fmt, monkeypatch):
+        out = _Pieces()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([*argv, "--format", fmt]) == 0
+        assert len(out.pieces) == 1
 
 
 def sha256(text):
