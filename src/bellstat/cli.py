@@ -53,13 +53,16 @@ column: a 1-D array of one number per row, a 2-D array of the rows' number
 lists, or a list.  Any other list, short lists of dicts included, is written
 value by value.  Each command's CSV is a list of such columns.  JSON rows and
 CSV lines share one block pass: each block of up to 1024 rows becomes one
-string through one row template and one ``%``.  One rule, on the column's
-type alone, fills it: an integer array gets ``%d``; a finite float64 array
-gets ``%.17g``, or from :data:`FLOAT_TEXTS_MIN` values up its
-:func:`~bellstat.floattext.float_texts` (the same texts, computed exactly in
-numpy for ``1e-4 <= |v| < 1e16`` and one by one for other values, so the
-bytes do not change); every other block, a list or a non-finite or
-non-float64 array, is filled with its value texts, which reject a NaN.
+string through one row template, by one rule on its size and column types.
+A block of at least :data:`FLOAT_TEXTS_MIN` values whose columns are all
+integer or bool arrays, finite float64 arrays or lists of bools is one byte
+matrix, a row per block row: the template's literal bytes, and between them
+each value's text, padded, from :mod:`~bellstat.floattext` (``%.17g`` and
+``%d`` computed exactly in numpy, so the bytes do not change); one
+``translate`` deletes the pads.  Every other block is filled by one ``%``: an
+integer array gets ``%d``, a finite float64 array ``%.17g``, and every other
+column, a list or a non-finite or non-float64 array, its value texts, which
+reject a NaN.
 
 :func:`main` writes the report while it is made, block by block, to stdout
 or the ``--out`` file, and never holds its whole text.  Everything but the
@@ -89,8 +92,8 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
-from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,9 +141,10 @@ MAX_SAMPLES = 10**8
 #: Upper bound on ``steps`` and on a drained bag's total: each is a report row.
 MAX_ROWS = 10**6
 
-#: Fewest values in a float block that :func:`_float_texts` formats; below it
-#: the ``%`` itself is faster (the two cross between 256 and 512 values).
-FLOAT_TEXTS_MIN = 512
+#: Fewest values in a block of report rows that is written as one byte matrix
+#: (see :func:`_matrix_text`); below it the ``%`` fill is faster (the two
+#: cross between 1,000 and 1,500 values, for drain steps and scan points).
+FLOAT_TEXTS_MIN = 1024
 
 #: Rows of a report table made into one string, and written as one piece.
 _BLOCK_ROWS = 1024
@@ -264,23 +268,14 @@ def _texts(
     ]
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
-    """:func:`~bellstat.floattext.float_texts`, imported on first use: a
-    process that writes no long float column never compiles it."""
-    from .floattext import float_texts
-
-    return float_texts(values)
-
-
 def _value_columns(
     block: Sequence[Any] | np.ndarray, texts: Callable[[Sequence[Any]], list[str]]
 ) -> list[tuple[str, Sequence[Any]]]:
     """Each value column of one column's block with its ``%`` piece, by the
     column's type alone.  A list is one value column, filled with its
     ``texts``.  An array gives one value column per array column: ``%d`` for
-    an integer dtype; ``%.17g`` for finite float64, or ``%s`` filled with its
-    :func:`_float_texts` from :data:`FLOAT_TEXTS_MIN` values up; any other
-    array (non-finite, bool, float32) is filled with its value ``texts``."""
+    an integer dtype, ``%.17g`` for finite float64; any other array
+    (non-finite, bool, float32) is filled with its value ``texts``."""
     if not isinstance(block, np.ndarray):
         return [("%s", texts(block))]
     columns = np.atleast_2d(block.T)
@@ -288,25 +283,85 @@ def _value_columns(
         return [("%d", cells) for cells in columns.tolist()]
     if block.dtype != np.float64 or not np.isfinite(block).all():
         return [("%s", texts(cells)) for cells in columns.tolist()]
-    if block.size < FLOAT_TEXTS_MIN:
-        return [("%.17g", cells) for cells in columns.tolist()]
-    floats, n = _float_texts(columns), len(block)
-    return [("%s", floats[j:j + n]) for j in range(0, block.size, n)]
+    return [("%.17g", cells) for cells in columns.tolist()]
+
+
+#: Types of list values whose texts cannot fail, in JSON or in CSV.
+_PLAIN = frozenset((bool, int, str, type(None)))
+
+
+def _plain(column: Sequence[Any] | np.ndarray, kinds: AbstractSet[type] = _PLAIN) -> bool:
+    """Whether every value of ``column`` has a text, told without making one:
+    an integer or bool array, a finite float64 array, or a list of values of
+    the types ``kinds``."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        return kind in "iub" or (column.dtype == np.float64 and bool(np.isfinite(column).all()))
+    return set(map(type, column)) <= kinds
+
+
+def _matrix_text(
+    block: Sequence[Sequence[Any] | np.ndarray], row: Callable[[list[list[str]]], str], sep: str
+) -> str | None:
+    """The text of a block of at least :data:`FLOAT_TEXTS_MIN` values whose
+    columns are all arrays that are :func:`_plain` or lists of bools, else
+    ``None``.  Each column's texts are one byte matrix from
+    :mod:`~bellstat.floattext`, a padded text per value; they are laid between
+    the row template's literal bytes in one matrix, a row per block row, whose
+    pads one ``translate`` deletes."""
+    if sum(map(np.size, block)) < FLOAT_TEXTS_MIN or not all(
+        _plain(column, {bool}) for column in block
+    ):
+        return None
+    from .floattext import PAD, float_bytes, int_bytes  # compiled on first use
+
+    bools = np.frombuffer(b"false" + b"true".ljust(5, PAD), dtype=np.uint8).reshape(2, 5)
+    cells = []  # (rows, k, width): a column's k texts a row
+    for column in block:
+        values = np.asarray(column)
+        if values.dtype == np.bool_:
+            matrix = bools[values.view(np.uint8).ravel()]
+        else:
+            matrix = (int_bytes if values.dtype.kind in "iu" else float_bytes)(values)
+        cells.append(matrix.reshape(len(values), -1, matrix.shape[1]))
+    # The template with a NUL per cell; % () turns each %% back into %.
+    row_text = (row([["\0"] * c.shape[1] for c in cells]) + sep) % ()
+    literals = [literal.encode("ascii") for literal in row_text.split("\0")]
+    widths = [c.shape[2] for c in cells for _ in range(c.shape[1])]
+    template = b"".join(literal + PAD * w for literal, w in zip(literals, [*widths, 0]))
+    text = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
+    text[:] = np.frombuffer(template, dtype=np.uint8)
+    # Each cell's start in a row; a column's k cells are w-byte items a stride apart.
+    starts = list(accumulate(len(literal) + w for literal, w in zip(literals, [0, *widths])))
+    i = 0
+    for c in cells:
+        rows, k, w = c.shape
+        step = starts[i + 1] - starts[i] if k > 1 else w
+        view = np.ndarray((rows, k), f"V{w}", text, starts[i], (text.shape[1], step))
+        view[...] = c.view(f"V{w}")[..., 0]
+        i += k
+    return text.ravel()[:text.size - len(sep)].tobytes().translate(None, PAD).decode("ascii")
 
 
 def _blocks(
-    columns: Sequence[Sequence[Any] | np.ndarray], texts: Callable[[Sequence[Any]], list[str]]
-) -> Iterator[tuple[list[list[str]], list[Sequence[Any]]]]:
-    """Each block of up to :data:`_BLOCK_ROWS` rows of ``columns`` as the ``%`` pieces of
-    each column and the value columns that fill them (see
-    :func:`_value_columns`)."""
+    columns: Sequence[Sequence[Any] | np.ndarray],
+    row: Callable[[list[list[str]]], str],
+    sep: str,
+    texts: Callable[[Sequence[Any]], list[str]],
+) -> Iterator[str]:
+    """Each block of up to :data:`_BLOCK_ROWS` rows of ``columns`` as one
+    string: ``row(pieces)``, the row template of each column's pieces, once per
+    row, joined by ``sep``.  A block that :func:`_matrix_text` takes is written
+    by it; any other is filled by one ``%`` with the value columns of
+    :func:`_value_columns`."""
     for i in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
-        pieces, values = [], []
-        for column in columns:
-            pairs = _value_columns(column[i:i + _BLOCK_ROWS], texts)
-            pieces.append([piece for piece, _ in pairs])
-            values.extend(cells for _, cells in pairs)
-        yield pieces, values
+        block = [column[i:i + _BLOCK_ROWS] for column in columns]
+        text = _matrix_text(block, row, sep)
+        if text is None:
+            pairs = [_value_columns(column, texts) for column in block]
+            values = [cells for column in pairs for _, cells in column]
+            text = _fill(row([[piece for piece, _ in column] for column in pairs]), sep, values)
+        yield text
 
 
 def _fill(row: str, sep: str, values: Sequence[Sequence[Any]]) -> str:
@@ -330,26 +385,15 @@ def _rows(columns: Columns, indent: int) -> Iterator[str]:
     names = tuple(map(str, keys))
     inner, close = "\n" + "  " * (indent + 2), "\n" + "  " * (indent + 1) + "]"
     arrays = [getattr(columns[k], "ndim", 1) == 2 for k in keys]
-    for pieces, values in _blocks([columns[k] for k in keys], lambda c: _texts(c, indent + 1)):
-        row = _template(names, indent, tuple(
+
+    def row(pieces: list[list[str]]) -> str:
+        return _template(names, indent, tuple(
             "[" + ",".join(inner + p for p in column) + close if array else column[0]
             for array, column in zip(arrays, pieces)
         ))
-        yield _fill(row, ",\n" + "  " * indent, values)
 
-
-#: Types of list values whose texts cannot fail, in JSON or in CSV.
-_PLAIN = frozenset((bool, int, str, type(None)))
-
-
-def _plain(column: Sequence[Any] | np.ndarray) -> bool:
-    """Whether every value of ``column`` has a text, told without making one:
-    an integer or bool array, a finite float64 array, or a list of
-    :data:`_PLAIN` values."""
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        return kind in "iub" or (column.dtype == np.float64 and bool(np.isfinite(column).all()))
-    return set(map(type, column)) <= _PLAIN
+    return _blocks([columns[k] for k in keys], row, ",\n" + "  " * indent,
+                   lambda c: _texts(c, indent + 1))
 
 
 def _checked(
@@ -438,12 +482,12 @@ def _csv_parts(
     """The header line, then the rows of ``columns`` (each a list of cells, a
     1-D array of one cell per row, or a 2-D array that fills one CSV column
     per array column), each block as one string through one ``,``-joined row
-    template, filled by the one rule of :func:`_value_columns`.  Each block is
+    template, made by the one rule of :func:`_blocks`.  Each block is
     one piece, the header goes with the first; any :class:`ValidationError` is
     raised by this call (see :func:`_checked`)."""
-    blocks = _checked(columns, (
-        _fill(",".join(chain.from_iterable(pieces)), "\n", values) + "\n"
-        for pieces, values in _blocks(columns, lambda c: list(map(_csv_cell, c)))
+    blocks = _checked(columns, _blocks(
+        columns, lambda pieces: ",".join(chain.from_iterable(pieces)) + "\n", "",
+        lambda c: list(map(_csv_cell, c)),
     ))
     return chain([",".join(header) + "\n" + next(blocks, "")], blocks)
 

@@ -1,9 +1,19 @@
-"""Exact ``%.17g`` texts of a float64 array, computed in numpy.
+"""Exact ``%.17g`` and ``%d`` texts of numpy arrays, as padded byte matrices.
 
-:func:`float_texts` returns ``format(v, ".17g")`` for every value of an
-array.  The values with ``1e-4 <= |v| < 1e16``, which ``%.17g`` writes in
-fixed notation, take the vectorized path; the others (zeros, exponent
-notation, subnormals, non-finite values) are formatted one by one.
+:func:`float_bytes` returns, for a float64 array, one row of bytes per value:
+the ASCII of ``format(v, ".17g")`` with :data:`PAD` bytes among and after its
+characters.  Deleting every ``PAD`` of row i gives value i's text, so a
+caller can lay many such rows into one byte matrix and make text of it with
+one ``bytes.translate``.  :func:`int_bytes` does the same for an integer
+array and ``str(v)``, and :func:`float_texts` is the float matrix cut into one
+``str`` per value.  A row is 24 bytes or more: four for each 4-digit group
+the array's largest value needs, and a ``-`` column where a value is
+negative.
+
+The values with ``1e-4 <= |v| < 1e16``, which ``%.17g`` writes in fixed
+notation, take the vectorized path, and zeros are written as ``0`` and
+``-0``; the others (exponent notation, subnormals, non-finite values) are
+formatted one by one.
 
 The vectorized path finds the 17 significant digits of ``|v|`` as the
 integer ``D = round(|v| * 10**s)`` with ``10**16 <= D < 10**17``, so
@@ -17,12 +27,14 @@ rounded binary-decimal and decimal-binary conversions", 1990).  The guess
 ``E = floor(log10|v|)`` is off by at most one; it is stepped until ``D``
 has 17 digits.
 
-The digits come from a table of 4-digit groups, read as one uint32 each.
-Each value gets a 40-byte row of ten groups: its digits, its digits after
-the first with trailing zeros blanked (a blank is byte 0x01), and a tail of
-``"."`` (blank when no fraction digit is left), ``"-"`` and NUL.  One
-gather per (exponent, sign) picks the text's bytes out of the row, then a
-NUL; one ``translate`` deletes the blanks and one ``split`` cuts the texts.
+The bytes come from one table of 4-byte groups, each looked up as one
+uint32: 0..9999 as four digits, with leading or with trailing zeros
+blanked, and a few fixed groups (``0``, ``0.``, ``.``).  ``D`` is split
+where the ``.`` goes, into the integer part, written like an integer
+(``0.`` below 1), and the fraction digits, left-aligned in four groups with
+trailing zeros blanked; below 1 the fraction's first four digits fill the
+group between them, where at or above 1 the ``.`` sits.  So every value's
+text sits in the same group columns, and no byte is moved after its lookup.
 """
 
 from __future__ import annotations
@@ -31,59 +43,57 @@ from functools import cache
 
 import numpy as np
 
-_BLANK, _TAIL = 10_000, 20_000
+#: The byte that pads a text in its row; no text holds it.
+PAD = b"\1"
 
-# Values per numpy pass: its temporaries, under 100 KB each, stay in cache
-# and on malloc's heap.  Passes of 8,192 values ran ~10% slower.
-_CHUNK = 2048
+# Offsets into the group table: 0..9999 as four digits, then with leading
+# zeros blanked (0 is four blanks), then with trailing zeros blanked; then
+# "0" and "0." at the end of a group, a "." before three blanks, and at
+# _DOT + 1 four blanks (no fraction, so no ".").
+_LEADING, _TRAILING, _ZERO, _ZERO_DOT, _DOT, _NONE = 10_000, 20_000, 30_000, 30_001, 30_002, 30_003
 
-# Byte columns of a value's row: digit k at 3 + k (three "0"s before it),
-# digit k >= 1 blanked at 19 + k, then ".", "-", NUL and a blank.
-_DOT, _MINUS, _END, _PAD = 36, 37, 38, 39
-_WIDTH = 24  # the longest text, "-0.000" and 17 digits, and its NUL
-_E_MIN = -4
-
-
-def _layout(e: int, negative: bool) -> list[int]:
-    """The row column of each text byte for exponent ``e`` and sign."""
-    sign = [_MINUS] if negative else []
-    if e >= 0:
-        cols = [3 + k for k in range(e + 1)] + [_DOT] + [19 + k for k in range(e + 1, 17)]
-    else:
-        cols = [0, _DOT] + [0] * (-e - 1) + [3] + [19 + k for k in range(1, 17)]
-    cols = sign + cols + [_END]
-    return cols + [_PAD] * (_WIDTH - len(cols))
-
-
-# One gather per (exponent, sign), at (e - _E_MIN) * 2 + negative.
-_LAYOUTS = np.array(
-    [_layout(e, negative) for e in range(_E_MIN, 16) for negative in (False, True)],
-    dtype=np.intp,
-)
+# Values per numpy pass: its temporaries, 32 KB each, stay in cache and on
+# malloc's heap.  Passes of 2,048 or 8,192 values ran 10-25% slower.
+_CHUNK = 4096
 
 # 10**s for s = 0..22, each exact in a double, and its Veltkamp halves.
 _SPLIT = 134217729.0  # 2**27 + 1
 _POW10 = np.array([float(10**s) for s in range(23)])
 _POW10_HIGH = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LOW = _POW10 - _POW10_HIGH
-
-# D's fraction is its last 16 - e digits, D mod _FRACTION[16 - e].  Where
-# e < 0 every digit is a fraction digit, and 10**18 > D keeps them all.
-_FRACTION = np.array([10 ** min(k, 18) for k in range(21)])
+_POW10_INT = np.array([10**s for s in range(17)])
 
 
 @cache
 def _groups() -> np.ndarray:
-    """Four bytes a group, read as one uint32: 0..9999 as four digits, then
-    10,000 + g with g's trailing zeros blanked, then the tails ".-\0" and
-    (no fraction left) "\1-\0".  Built on first use, a column at a time."""
-    table = np.empty((20_002, 4), dtype=np.uint8)
+    """Four bytes a group, read as one uint32 (see the offsets above).
+    Built on first use, a column at a time."""
+    table = np.empty((_NONE + 1, 4), dtype=np.uint8)
     g = np.arange(10_000)
     for k in range(4):
-        table[:_BLANK, k] = np.divmod(g, 10 ** (3 - k))[0] % 10 + ord("0")
-        table[_BLANK:_TAIL, k] = np.where(g % 10 ** (4 - k) == 0, 1, table[:_BLANK, k])
-    table[_TAIL:] = np.frombuffer(b".-\0\1\1-\0\1", dtype=np.uint8).reshape(2, 4)
+        digits = table[:_LEADING, k] = g // 10 ** (3 - k) % 10 + ord("0")
+        table[_LEADING:_TRAILING, k] = np.where(g < 10 ** (3 - k), PAD[0], digits)
+        table[_TRAILING:_ZERO, k] = np.where(g % 10 ** (4 - k) == 0, PAD[0], digits)
+    ends = b"\1\1\1" b"0" b"\1\1" b"0." b".\1\1\1" b"\1\1\1\1"
+    table[_ZERO:] = np.frombuffer(ends, dtype=np.uint8).reshape(4, 4)
     return table.view(np.uint32).ravel()
+
+
+def _integer_groups(magnitude: np.ndarray, zero: int, rows: np.ndarray) -> None:
+    """Fill the uint32 columns of ``rows`` with the 4-digit groups of each
+    ``magnitude``, most significant first, its leading zeros blanked where no
+    higher group is set; a magnitude of 0 ends in the group ``zero``."""
+    table, rest = _groups(), magnitude
+    for j in range(rows.shape[1]):
+        group = rest
+        if j + 1 < rows.shape[1]:
+            rest = rest // 10_000
+            group = group - rest * 10_000
+        index = group.astype(np.intp)
+        index += _LEADING * (magnitude < 10 ** (4 * j + 4))
+        if j == 0:
+            np.copyto(index, zero, where=magnitude == 0)
+        rows[:, -1 - j] = table.take(index)
 
 
 def _scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -97,56 +107,97 @@ def _scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _fixed_texts(v: np.ndarray) -> list[str]:
-    """The ``%.17g`` texts of values with ``1e-4 <= |v| < 1e16``."""
+def _fixed_rows(v: np.ndarray, rows: np.ndarray) -> None:
+    """Fill ``rows``, ``k + 5`` uint32 groups a value, with the texts of values
+    with ``1e-4 <= |v| < 1e16`` but their sign: ``k`` groups of the integer
+    part (``0.`` below 1), then a ``.`` (below 1, the first four fraction
+    digits), then the other fraction digits, left-aligned in four groups,
+    trailing zeros blanked."""
     a = np.abs(v)
     e = (np.log10(a) + 5).astype(np.int64) - 5  # floor, as log10(a) >= -4
     d = _scaled(a, 16 - e)
     while (off := np.flatnonzero((d < 10**16) == (d < 10**17))).size:
         e[off] += 1 - 2 * (d[off] < 10**16)
         d[off] = _scaled(a[off], 16 - e[off])
-    upper, lower = np.divmod(d, 10**8)
-    lead, upper = np.divmod(upper, 10**8)
-    g1, g2 = np.divmod(upper, 10**4)
-    g3, g4 = np.divmod(lower, 10**4)
-    groups = (
-        lead, g1, g2, g3, g4,
-        # A group's trailing zeros are blanked when every later group is 0.
-        g1 + _BLANK * (lower + g2 == 0), g2 + _BLANK * (lower == 0), g3 + _BLANK * (g4 == 0),
-        g4 + _BLANK,
-        # The "." is blanked when the fraction, the last 16 - e digits, is 0.
-        _TAIL + (np.divmod(d, _FRACTION[16 - e])[1] == 0),
-    )
+    # d = q * 10**t + f: q is the integer part, or below 1 the fraction's
+    # first four digits ("0.0001" to "0.9999"), and f * 10**(16 - t) the rest.
+    small = e < 0
+    t = np.where(small, 12 - e, 16 - e)
+    scale = _POW10_INT[t]
+    q = d // scale
+    f = (d - q * scale) * _POW10_INT[16 - t]
+    f1 = f // 10**8
+    f2 = f - f1 * 10**8
+    g1, g3 = f1 // 10**4, f2 // 10**4
+    g2, g4 = f1 - g1 * 10**4, f2 - g3 * 10**4
+    n_int = rows.shape[1] - 5
+    _integer_groups(np.where(small, 0, q), _ZERO_DOT, rows[:, :n_int])
+    end = f == 0
     table = _groups()
-    rows = np.empty((len(v), len(groups)), dtype=np.uint32)
+    groups = (
+        np.where(small, q + _TRAILING * end, _DOT + end),
+        # A group's trailing zeros are blanked when every later group is 0.
+        g1 + _TRAILING * (g2 + f2 == 0), g2 + _TRAILING * (f2 == 0),
+        g3 + _TRAILING * (g4 == 0), g4 + _TRAILING,
+    )
     for j, group in enumerate(groups):
-        rows[:, j] = table.take(group)
-    rows = rows.view(np.uint8)
-    layout = (e - _E_MIN) * 2 + (v < 0)
-    out = np.empty((len(v), _WIDTH), dtype=np.uint8)
-    for k in np.flatnonzero(np.bincount(layout, minlength=len(_LAYOUTS))).tolist():
-        at = np.flatnonzero(layout == k)
-        out[at] = rows[at].take(_LAYOUTS[k], axis=1)
-    text = out.tobytes().translate(None, b"\1").decode("ascii")
-    return text.split("\0")[:-1]
+        rows[:, n_int + j] = table.take(group)
 
 
-def _chunked(v: np.ndarray) -> list[str]:
-    """:func:`_fixed_texts` of ``v``, :data:`_CHUNK` values at a time."""
-    texts: list[str] = []
-    for i in range(0, len(v), _CHUNK):
-        texts += _fixed_texts(v[i:i + _CHUNK])
-    return texts
+def _signed(digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """``digits``, a byte row a value, after a ``-`` column if any value is
+    ``negative``."""
+    if not negative.any():
+        return digits
+    out = np.empty((len(digits), digits.shape[1] + 1), dtype=np.uint8)
+    out[:, 0] = np.where(negative, ord("-"), PAD[0])
+    out[:, 1:] = digits
+    return out
+
+
+def float_bytes(values: np.ndarray) -> np.ndarray:
+    """The ``(n, w)`` uint8 matrix of ``format(v, ".17g")`` of each value of a
+    float64 array, in order, each row padded with :data:`PAD` (``w`` is 24
+    or more: the integer parts of the largest ``|v|`` set it)."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    # Integer part groups, with room for rounding up to the next power of 10.
+    n_int = min(4, max(1, (int(np.log10(a.max(initial=1.0, where=fast))) + 5) // 4))
+    fixed = v if fast.all() else v[fast]
+    rows = np.empty((len(fixed), n_int + 5), dtype=np.uint32)
+    for i in range(0, len(fixed), _CHUNK):
+        _fixed_rows(fixed[i:i + _CHUNK], rows[i:i + _CHUNK])
+    digits = rows.view(np.uint8)
+    if len(fixed) < len(v):
+        digits = np.full((len(v), digits.shape[1]), PAD[0], dtype=np.uint8)
+        digits[fast] = rows.view(np.uint8)
+        zero = np.flatnonzero(a == 0)
+        digits[zero, 0] = ord("0")
+        digits[zero[np.signbit(v[zero])], :2] = np.frombuffer(b"-0", dtype=np.uint8)
+        rest = np.flatnonzero(~fast & (a != 0))
+        texts = [("%.17g" % x).encode().ljust(digits.shape[1], PAD) for x in v[rest].tolist()]
+        digits[rest] = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(-1, digits.shape[1])
+    return _signed(digits, (v < 0) & fast)
 
 
 def float_texts(values: np.ndarray) -> list[str]:
     """``format(v, ".17g")`` of each value of a float64 array, in order."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e16)
-    if fast.all():
-        return _chunked(v)
-    texts = np.empty(len(v), dtype=object)
-    texts[fast] = _chunked(v[fast])
-    texts[~fast] = ["%.17g" % x for x in v[~fast].tolist()]
-    return texts.tolist()
+    rows = float_bytes(values)
+    ends = np.zeros((len(rows), 1), dtype=np.uint8)
+    text = np.hstack((rows, ends)).tobytes().translate(None, PAD).decode("ascii")
+    return text.split("\0")[:-1]
+
+
+def int_bytes(values: np.ndarray) -> np.ndarray:
+    """The ``(n, w)`` uint8 matrix of ``str(v)`` of each value of an integer
+    array, in order, each row padded with :data:`PAD`: a ``-`` column where a
+    value is negative, then four digits for each 4-digit group that the
+    largest ``|v|`` needs."""
+    v = np.asarray(values).ravel()
+    negative = v < 0
+    magnitude = v.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # exact for int64 min
+    rows = np.empty((len(v), (len(str(magnitude.max(initial=0))) + 3) // 4), dtype=np.uint32)
+    _integer_groups(magnitude, _ZERO, rows)
+    return _signed(rows.view(np.uint8), negative)

@@ -69,6 +69,8 @@ _SIGNS = (+1, -1)
 #: values as one call and leave the generator in the same state: uniforms take
 #: one 64-bit word each, and numpy takes the bounded axis choices from 32-bit
 #: halves whose spare half it keeps in the generator state between calls.
+#: The choices are drawn as uint32, which numpy takes from the same 32-bit
+#: draws as the default int64, value for value.
 _BLOCK = 65536
 
 #: Steps per block of :func:`quantum_wigner_scan`'s columns, which keeps its
@@ -291,7 +293,7 @@ def singlet_sample(
     if policy == "uniform":
         per_pair = np.zeros(9, dtype=np.int64)
         for size in _blocks(n):
-            choices = rng.integers(0, 3, size=(size, 2))  # pair index 3 * alice + bob
+            choices = rng.integers(0, 3, size=(size, 2), dtype=np.uint32)  # pair 3 * alice + bob
             per_pair += np.bincount(3 * choices[:, 0] + choices[:, 1], minlength=9)
     elif (
         isinstance(policy, tuple)

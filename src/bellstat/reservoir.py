@@ -137,10 +137,15 @@ def _inner_thresholds(spec: ReservoirSpec) -> list[int]:
 def _chunks(spec: ReservoirSpec, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Infinite mode's ``n`` draws, one Philox chunk at a time, as ``(start,
     stop, draws)``: chunk c holds draws ``start:stop`` from key
-    ``c * 2**64 + seed``, ``CHUNK_SIZE`` of them in every chunk but the last."""
+    ``c * 2**64 + seed``, ``CHUNK_SIZE`` of them in every chunk but the last.
+    A total of at most 2**32 is drawn as uint32, a larger one as int64: below
+    2**32 numpy takes both dtypes from the same 32-bit Lemire draws on the
+    generator's 32-bit stream, so the values are the same, in half the bytes."""
+    total = spec.composition.total
+    dtype = np.uint32 if total <= 2**32 else np.int64
     for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
         stop = min(start + CHUNK_SIZE, n)
-        draws = stream(spec.seed, chunk).integers(0, spec.composition.total, size=stop - start)
+        draws = stream(spec.seed, chunk).integers(0, total, size=stop - start, dtype=dtype)
         yield start, stop, draws
 
 

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bellstat.cli import (
     RunReport,
     _csv_lines,
     _csv_parts,
+    _matrix_text,
     _parts,
     build_parser,
     dumps_stable,
@@ -779,7 +781,7 @@ _JSON_SCALARS = (
     | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
     | st.text(max_size=4)
 )
-_KEYS = st.sampled_from(["a", "b", "theta", "%s", "%", "é", ""])
+_KEYS = st.sampled_from(["a", "b", "theta", "%s", "%", "é", "", "100% of %s: ö"])
 
 
 class _Int(int):
@@ -1050,7 +1052,25 @@ class TestCsvWriter:
 _COLUMN_KINDS = (
     "float", "fast float", "int", "bool", "float array", "fast float array", "int array",
     "1-D float array", "1-D fast float array", "1-D int array", "1-D bool array",
+    "uint64 array", "small int array", "edge float array",
 )
+
+
+def _edge_float(rng):
+    """A signed zero, a subnormal, or a float next to 1e-4 or 1e16, where the
+    byte matrix's zero, one-by-one and fixed-notation rows meet."""
+    tiny = struct.unpack("<d", rng.randint(1, 2**52 - 1).to_bytes(8, "little"))[0]
+    edge = np.nextafter(rng.choice((1e-4, 1e16)), rng.choice((0.0, math.inf)))
+    x = rng.choice((0.0, tiny, float(edge), rng.choice((1e-4, 1e16)), _fast_float(rng)))
+    return -x if rng.random() < 0.5 else x
+
+
+#: Array-only kinds: each value's maker and the array's dtype.
+_ARRAY_KINDS = {
+    "uint64 array": (lambda rng: rng.randint(2**63, 2**64 - 1), np.uint64),
+    "small int array": (lambda rng: rng.randint(0, 9999), np.int64),  # one 4-digit group
+    "edge float array": (_edge_float, np.float64),
+}
 
 
 def _int64(rng):
@@ -1061,15 +1081,19 @@ def _int64(rng):
 @st.composite
 def _column_tables(draw, sizes):
     """A :class:`Columns` table with list columns of floats, ints or bools,
-    1-D float64, int64 and bool array columns, and 2-D float64 and int64 array
-    columns, like the drain's and the scan's.  The "fast float" kinds hold
-    values that ``float_texts`` writes in numpy."""
+    1-D float64, int64 and bool array columns, and 2-D float64, int64 and
+    uint64 array columns, like the drain's and the scan's.  The "fast float"
+    kinds hold values that ``float_texts`` writes in numpy; the "edge float"
+    kind mixes them with zeros, subnormals and the ends of that range."""
     n = draw(sizes)
     width = draw(st.integers(1, 9))
     rng = random.Random(draw(st.integers(0, 2**32)))
     kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5))
     keys = draw(st.lists(_KEYS, min_size=len(kinds), max_size=len(kinds), unique=True))
     def column(kind):
+        if kind in _ARRAY_KINDS:
+            value, dtype = _ARRAY_KINDS[kind]
+            return np.array([[value(rng) for _ in range(width)] for _ in range(n)], dtype=dtype)
         name = kind.removeprefix("1-D ").removesuffix(" array")
         value = _int64 if name == "int" and kind != name else _VALUES[name]
         if kind.startswith("1-D "):
@@ -1161,6 +1185,40 @@ class TestColumnTable:
                 assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 2
                 out, err = capsys.readouterr()
                 assert (out, err) == ("", "bellstat: cannot serialize non-finite number nan\n")
+
+
+class TestByteMatrix:
+    """Blocks of numbers only, from :data:`FLOAT_TEXTS_MIN` values up, are
+    written as one byte matrix; the bytes are those of the ``%`` fill."""
+
+    KEY = "100% of %s: ö"
+
+    def table(self, n, **extra):
+        rng = random.Random(n)
+        return Columns(
+            {self.KEY: np.array([[_fast_float(rng) for _ in range(8)] for _ in range(n)])},
+            step=np.arange(1, n + 1), flag=[i % 3 == 0 for i in range(n)], **extra,
+        )
+
+    # Ten values a row: FLOAT_TEXTS_MIN // 10 rows are below FLOAT_TEXTS_MIN
+    # values, one row more is not.
+    @pytest.mark.parametrize("n", [1, FLOAT_TEXTS_MIN // 10, FLOAT_TEXTS_MIN // 10 + 1, 1025])
+    def test_a_key_with_percent_signs_and_non_ascii_text(self, n):
+        for columns in (self.table(n), self.table(n, q=[0.5] * n)):
+            dicts, csv_rows = _rows_of(columns)
+            assert dumps_stable({"rows": columns}, 1) == reference_dumps({"rows": dicts}, 1)
+            header = [f"c{i}" for i in range(len(csv_rows[0]))]
+            assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
+
+    def test_which_blocks_take_the_matrix(self):
+        row = lambda pieces: ",".join(chain.from_iterable(pieces)) + "\n"
+        n = FLOAT_TEXTS_MIN // 2
+        numbers = [np.arange(n), np.full(n, 0.25)]
+        assert _matrix_text(numbers, row, "") is not None
+        assert _matrix_text([numbers[0], [True] * n], row, "") is not None
+        assert _matrix_text([column[:-1] for column in numbers], row, "") is None  # too few
+        for other in ([0.5] * n, [1] * n, np.full(n, np.nan), np.ones(n, np.float32)):
+            assert _matrix_text([numbers[0], other], row, "") is None
 
 
 class _Pieces(io.StringIO):

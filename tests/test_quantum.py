@@ -308,6 +308,15 @@ class TestSingletSampler:
         b = singlet_sample(axes, 5000, seed=77)
         assert np.array_equal(a.counts, b.counts)
 
+    def test_uint32_axis_choices_are_the_default_dtype_values(self):
+        # singlet_sample draws its axis choices as uint32: the same values as
+        # the default int64, and the same generator state after them.
+        for n in (1, 7, _BLOCK + 3):
+            ours, default = stream(8), stream(8)
+            choices = ours.integers(0, 3, size=(n, 2), dtype=np.uint32)
+            assert np.array_equal(choices, default.integers(0, 3, size=(n, 2)))
+            assert ours.random(3).tolist() == default.random(3).tolist()
+
     def test_unknown_policy_rejected(self):
         axes = AxisTriple.coplanar(math.radians(60))
         for policy in ("alternating", "round-robin"):

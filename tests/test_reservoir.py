@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellstat import (
     CHUNK_SIZE,
@@ -19,7 +21,7 @@ from bellstat import (
     exact_probability,
     finite_vs_infinite_divergence,
 )
-from bellstat.reservoir import population_counts, remaining_counts, sample
+from bellstat.reservoir import _chunks, population_counts, remaining_counts, sample
 from bellstat.rng import stream
 
 AB = PairOutcome("a", +1, "b", +1)
@@ -133,6 +135,40 @@ class TestDeterminism:
         long = sample(spec, 2000)
         short = sample(spec, 1500)
         assert np.array_equal(long[:1500], short)
+
+
+def _tables_near_2_32():
+    """Tables whose totals sit about 2**32, where the draws change dtype; some
+    with empty trailing populations, so that thresholds equal the total."""
+    totals = st.sampled_from([2**32 - 1, 2**32, 2**32 + 1]) | st.integers(1, 2**34)
+    def split(total, cuts, empty):
+        counts = np.diff([0, *sorted(c % (total + 1) for c in cuts[:7 - empty]), total])
+        return PopulationTable.from_counts([*counts.tolist(), *[0] * empty])
+    return st.builds(split, totals, st.lists(st.integers(0, 2**40), min_size=7, max_size=7),
+                     st.integers(0, 6))
+
+
+class TestDrawDtype:
+    """Infinite chunks of a total up to 2**32 are drawn as uint32, others as
+    int64; either way each draw is the default (int64) ``integers`` value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bag=_tables_near_2_32(), seed=st.integers(0, 2**64 - 1),
+           n=st.integers(1, 3000) | st.just(CHUNK_SIZE + 5))
+    @example(bag=PopulationTable.from_counts((2**31, 2**31, 0, 0, 0, 0, 0, 0)), seed=3, n=2000)
+    @example(bag=PopulationTable.from_counts((1, 2**32 - 2, 0, 0, 0, 0, 0, 0)), seed=4, n=2000)
+    @example(bag=PopulationTable.from_counts((2**32, 1, 0, 0, 0, 0, 0, 0)), seed=5, n=2000)
+    def test_draws_match_the_default_dtype(self, bag, seed, n):
+        spec = ReservoirSpec.infinite(bag, seed)
+        expected = []
+        for chunk, (start, stop, draws) in enumerate(_chunks(spec, n)):
+            assert draws.dtype == (np.uint32 if bag.total <= 2**32 else np.int64)
+            default = stream(seed, chunk).integers(0, bag.total, size=stop - start)
+            assert np.array_equal(draws, default)
+            expected.append(np.searchsorted(np.cumsum(bag.counts), default, side="right") + 1)
+        populations = sample(spec, n)
+        assert np.array_equal(populations, np.concatenate(expected))
+        assert np.array_equal(population_counts(spec, n), np.bincount(populations, minlength=9)[1:])
 
 
 class TestFiniteDraws:
