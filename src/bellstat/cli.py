@@ -49,13 +49,13 @@ significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
 :func:`dumps_stable`, fills a cached template per dict shape, writing each value
 of an exact scalar type inline; only containers and subclasses recurse.  Report rows
 (scan points, drain steps) are handed over as a :class:`Columns` table, key ->
-column: a 1-D array of one number per row, a 2-D array of the rows' number
-lists, or a list.  Any other list, short lists of dicts included, is written
-value by value.  Each command's CSV is a list of such columns.  JSON rows and
-CSV lines share one block pass: each block of up to 1024 rows becomes one
-string through one row template, by one rule on its size and column types.
-A block of at least :data:`FLOAT_TEXTS_MIN` values whose columns are all
-integer or bool arrays, finite float64 arrays or lists of bools is one byte
+column: a 1-D array of one number or bool per row, a 2-D array of the rows'
+number lists, or a list.  Any other list, short lists of dicts included, is
+written value by value.  Each command's CSV is a list of such columns.  JSON
+rows and CSV lines share one block pass: each block of up to 1024 rows
+becomes one string through one row template, by one rule on its size and
+column types.  A block of at least :data:`FLOAT_TEXTS_MIN` values whose
+columns are all integer or bool arrays or finite float64 arrays is one byte
 matrix, a row per block row: the template's literal bytes, and between them
 each value's text, padded, from :mod:`~bellstat.floattext` (``%.17g`` and
 ``%d`` computed exactly in numpy, so the bytes do not change); one
@@ -69,9 +69,9 @@ or the ``--out`` file, and never holds its whole text.  Everything but the
 :class:`Columns` tables (config, meta, every other result) is made first, as
 one text; each table's blocks of up to 1024 rows are then made and written
 one at a time.  Before the first byte is written, in a table longer than one
-block, every float64 array column passes one ``np.isfinite(...).all()`` and
-every list column a check of its value types; a table of one block, or one
-with a column these checks cannot clear, is made into text there, which
+block whose columns are all arrays, every float64 column passes one
+``np.isfinite(...).all()``; a table of one block, one with a list column, or
+one with a column this check cannot clear, is made into text there, which
 raises the writer's own error.  So a report that fails exits 2 and writes
 nothing.  Exit 3 (a failed write) can leave a partial stdout or ``--out``
 file, as a failed write of the whole text could.  :func:`dumps_stable`,
@@ -93,7 +93,7 @@ import time
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 from itertools import accumulate, chain
-from typing import AbstractSet, Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -286,39 +286,30 @@ def _value_columns(
     return [("%.17g", cells) for cells in columns.tolist()]
 
 
-#: Types of list values whose texts cannot fail, in JSON or in CSV.
-_PLAIN = frozenset((bool, int, str, type(None)))
-
-
-def _plain(column: Sequence[Any] | np.ndarray, kinds: AbstractSet[type] = _PLAIN) -> bool:
-    """Whether every value of ``column`` has a text, told without making one:
-    an integer or bool array, a finite float64 array, or a list of values of
-    the types ``kinds``."""
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        return kind in "iub" or (column.dtype == np.float64 and bool(np.isfinite(column).all()))
-    return set(map(type, column)) <= kinds
+def _plain(column: Sequence[Any] | np.ndarray) -> bool:
+    """Whether ``column`` is an array whose every value has a text, told
+    without making one: an integer or bool array, or a finite float64 array."""
+    if not isinstance(column, np.ndarray):
+        return False
+    kind = column.dtype.kind
+    return kind in "iub" or (column.dtype == np.float64 and bool(np.isfinite(column).all()))
 
 
 def _matrix_text(
     block: Sequence[Sequence[Any] | np.ndarray], row: Callable[[list[list[str]]], str], sep: str
 ) -> str | None:
     """The text of a block of at least :data:`FLOAT_TEXTS_MIN` values whose
-    columns are all arrays that are :func:`_plain` or lists of bools, else
-    ``None``.  Each column's texts are one byte matrix from
-    :mod:`~bellstat.floattext`, a padded text per value; they are laid between
-    the row template's literal bytes in one matrix, a row per block row, whose
-    pads one ``translate`` deletes."""
-    if sum(map(np.size, block)) < FLOAT_TEXTS_MIN or not all(
-        _plain(column, {bool}) for column in block
-    ):
+    columns are all :func:`_plain` arrays, else ``None``.  Each column's texts
+    are one byte matrix from :mod:`~bellstat.floattext`, a padded text per
+    value; they are laid between the row template's literal bytes in one
+    matrix, a row per block row, whose pads one ``translate`` deletes."""
+    if sum(map(np.size, block)) < FLOAT_TEXTS_MIN or not all(map(_plain, block)):
         return None
     from .floattext import PAD, float_bytes, int_bytes  # compiled on first use
 
     bools = np.frombuffer(b"false" + b"true".ljust(5, PAD), dtype=np.uint8).reshape(2, 5)
     cells = []  # (rows, k, width): a column's k texts a row
-    for column in block:
-        values = np.asarray(column)
+    for values in block:
         if values.dtype == np.bool_:
             matrix = bools[values.view(np.uint8).ravel()]
         else:
@@ -373,9 +364,9 @@ def _fill(row: str, sep: str, values: Sequence[Sequence[Any]]) -> str:
 
 class Columns(dict):
     """Report rows held by column, ``key -> column``: a 1-D array (one number
-    per row), a 2-D array (one fixed-length number list per row) or a list
-    (one value per row, written value by value).  :func:`dumps_stable` writes
-    it as the list of same-keyed objects it stands for."""
+    or bool per row), a 2-D array (one fixed-length number list per row) or a
+    list (one value per row, written value by value).  :func:`dumps_stable`
+    writes it as the list of same-keyed objects it stands for."""
 
 
 def _rows(columns: Columns, indent: int) -> Iterator[str]:
@@ -401,8 +392,9 @@ def _checked(
 ) -> Iterator[str]:
     """``blocks``, the text of ``columns``, made such that writing them cannot
     raise :class:`ValidationError`.  A table of one block is made here.  A
-    longer one is left lazy when every column is :func:`_plain`, else it is
-    made here too, which raises the writer's own error in its own order."""
+    longer one is left lazy when every column is a :func:`_plain` array, else
+    it is made here too (a list column included), which raises the writer's
+    own error in its own order."""
     columns = list(columns)
     if columns and len(columns[0]) > _BLOCK_ROWS and all(map(_plain, columns)):
         return blocks
@@ -605,12 +597,13 @@ def _run_simulate(config: ExperimentConfig) -> dict:
     assert config.table is not None
     spec = ReservoirSpec(config.mode, config.table, config.seed)  # type: ignore[arg-type]
     counts = population_counts(spec, config.samples)
+    bag = config.table.total if config.mode == "finite" else None
     exact = wigner_check(config.table)
     estimates = []
     p_hats = []
     # The check's terms are the exact probabilities, in WIGNER_OUTCOMES order.
     for outcome, term in zip(WIGNER_OUTCOMES, exact.terms, strict=True):
-        est = EmpiricalEstimate.from_counts(outcome, counts)
+        est = EmpiricalEstimate.from_counts(outcome, counts, bag)
         estimates.append({**_record(est), "reference": term.value})
         p_hats.append(est.p_hat)
     empirical = wigner_check_probabilities(*p_hats)
@@ -703,8 +696,7 @@ def _run_quantum(config: ExperimentConfig) -> dict:
         theta_deg *= deg
         theta_deg /= steps
         scan = Columns(
-            theta_deg=theta_deg, lhs=np.array(points.lhs), rhs=np.array(points.rhs),
-            violated=points.violated,
+            theta_deg=theta_deg, lhs=points.lhs, rhs=points.rhs, violated=points.violated
         )
 
     counts = singlet_sample(axes, config.samples, config.seed)

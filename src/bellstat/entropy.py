@@ -57,10 +57,6 @@ class Multiplicity:
         if not self.omega > 0:
             raise ValidationError(f"multiplicity must be positive, got {self.omega!r}")
 
-    @property
-    def is_integer(self) -> bool:
-        return float(self.omega).is_integer()
-
 
 @dataclass(frozen=True)
 class Entropy:

@@ -5,8 +5,7 @@ the ASCII of ``format(v, ".17g")`` with :data:`PAD` bytes among and after its
 characters.  Deleting every ``PAD`` of row i gives value i's text, so a
 caller can lay many such rows into one byte matrix and make text of it with
 one ``bytes.translate``.  :func:`int_bytes` does the same for an integer
-array and ``str(v)``, and :func:`float_texts` is the float matrix cut into one
-``str`` per value.  A row is 24 bytes or more: four for each 4-digit group
+array and ``str(v)``.  A row is 24 bytes or more: four for each 4-digit group
 the array's largest value needs, and a ``-`` column where a value is
 negative.
 
@@ -179,14 +178,6 @@ def float_bytes(values: np.ndarray) -> np.ndarray:
         texts = [("%.17g" % x).encode().ljust(digits.shape[1], PAD) for x in v[rest].tolist()]
         digits[rest] = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(-1, digits.shape[1])
     return _signed(digits, (v < 0) & fast)
-
-
-def float_texts(values: np.ndarray) -> list[str]:
-    """``format(v, ".17g")`` of each value of a float64 array, in order."""
-    rows = float_bytes(values)
-    ends = np.zeros((len(rows), 1), dtype=np.uint8)
-    text = np.hstack((rows, ends)).tobytes().translate(None, PAD).decode("ascii")
-    return text.split("\0")[:-1]
 
 
 def int_bytes(values: np.ndarray) -> np.ndarray:

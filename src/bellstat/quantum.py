@@ -18,7 +18,7 @@ the facet 1 + E_ab + E_ac + E_cb >= 0, whose left side is
 One float kernel, on plain direction tuples and with ``math`` only, is
 :func:`singlet_prediction`.  :func:`quantum_wigner_scan` gives the same
 values bit for bit, computed over whole columns of steps, a block at a time,
-into the four columns of a :class:`WignerScan`.  The correctly rounded
+into the four arrays of a :class:`WignerScan`.  The correctly rounded
 operations (``*``, ``+``, ``-``, ``/``, ``sqrt``) run as numpy array
 operations, which round as Python does.  sin, cos, atan2 and the square
 ``** 2`` stay libm's own calls, made element by element through ``math`` and
@@ -149,19 +149,21 @@ class ScanPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class WignerScan:
-    """An inequality scan as four equal-length columns, one entry per step.
-    Iterating it gives the steps as :class:`ScanPoint` rows."""
+    """An inequality scan as four equal-length arrays, one entry per step:
+    float64 ``theta``, ``lhs`` and ``rhs``, and bool ``violated``.  Iterating
+    it gives the steps as :class:`ScanPoint` rows of Python scalars."""
 
-    theta: list[float]
-    lhs: list[float]
-    rhs: list[float]
-    violated: list[bool]
+    theta: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    violated: np.ndarray
 
     def __len__(self) -> int:
         return len(self.theta)
 
     def __iter__(self) -> Iterator[ScanPoint]:
-        return map(ScanPoint, self.theta, self.lhs, self.rhs, self.violated)
+        columns = (self.theta, self.lhs, self.rhs, self.violated)
+        return map(ScanPoint, *(column.tolist() for column in columns))
 
 
 def _libm(f: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
@@ -187,7 +189,7 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
 
     The values are bit for bit those of :func:`singlet_prediction`'s float
     kernel on :func:`~bellstat.populations.coplanar_directions`, computed a
-    block of ``_SCAN_BLOCK`` steps at a time.  theta is
+    block of ``_SCAN_BLOCK`` steps at a time into arrays allocated once.  theta is
     ``arange(1, steps + 1) * spacing / steps``, the same two roundings as
     ``spacing * k / steps``.  With a = (0, 0, 1), b = (sin 2t, 0, cos 2t) and
     c = (sin t, 0, cos t), the zero terms of
@@ -206,9 +208,10 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps!r}")
     spacing, steps = float(spacing), int(steps)
-    scan = WignerScan([], [], [], [])
-    for start in range(1, steps + 1, _SCAN_BLOCK):
-        theta = np.arange(start, min(start + _SCAN_BLOCK, steps + 1)) * spacing / steps
+    scan = WignerScan(np.empty(steps), np.empty(steps), np.empty(steps), np.empty(steps, bool))
+    for start in range(0, steps, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, steps)
+        theta = scan.theta[start:stop] = np.arange(start + 1, stop + 1) * spacing / steps
         n, double = len(theta), 2.0 * theta
         s1, c1 = _libm(math.sin, theta), _libm(math.cos, theta)
         s2, c2 = _libm(math.sin, double), _libm(math.cos, double)
@@ -223,11 +226,9 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
         sines = map(math.sin, memoryview(angles / 2.0))
         p = 0.5 * np.fromiter(map(pow, sines, repeat(2)), float, 3 * n)
         lhs, ac, cb = p.reshape(3, n)
-        rhs = ac + cb
-        scan.theta.extend(theta.tolist())
-        scan.lhs.extend(lhs.tolist())
-        scan.rhs.extend(rhs.tolist())
-        scan.violated.extend((lhs > rhs + TOL).tolist())
+        scan.lhs[start:stop] = lhs
+        rhs = np.add(ac, cb, out=scan.rhs[start:stop])
+        np.greater(lhs, rhs + TOL, out=scan.violated[start:stop])
     return scan
 
 

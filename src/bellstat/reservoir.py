@@ -22,7 +22,7 @@ One threshold rule places every draw, here and in the quantum sampler: a draw
 lies in cell j when exactly j of the ascending inner thresholds are at or
 below it, as ``searchsorted(side="right")`` would place it.
 :func:`threshold_counts` counts the draws per cell by it.  Every empirical
-probability is the binomial estimate of :meth:`EmpiricalEstimate.from_hits`.
+probability is the estimate of :meth:`EmpiricalEstimate.from_hits`.
 
 Reproducibility contract: draws come from numpy's Philox generator, a
 counter-based RNG with a documented algorithm.  The stream for chunk ``c`` of
@@ -98,18 +98,27 @@ class EmpiricalEstimate:
     n: int
 
     @classmethod
-    def from_hits(cls, outcome: PairOutcome, hits: int, n: int) -> "EmpiricalEstimate":
-        """The binomial estimate ``hits / n`` with standard error
-        ``sqrt(p_hat (1 - p_hat) / n)``."""
+    def from_hits(
+        cls, outcome: PairOutcome, hits: int, n: int, bag: int | None = None
+    ) -> "EmpiricalEstimate":
+        """``hits / n`` with the binomial standard error
+        ``sqrt(p_hat (1 - p_hat) / n)``, times ``sqrt((bag - n) / (bag - 1))``
+        for draws without replacement from a ``bag`` of that many pairs
+        (Cochran 1977, ch. 2): 0 once the whole bag is drawn."""
         p_hat = hits / n
-        return cls(outcome=outcome, p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / n), n=n)
+        variance = p_hat * (1.0 - p_hat) / n
+        if bag is not None:
+            variance = variance * ((bag - n) / (bag - 1)) if bag > n else 0.0
+        return cls(outcome=outcome, p_hat=p_hat, stderr=math.sqrt(variance), n=n)
 
     @classmethod
-    def from_counts(cls, outcome: PairOutcome, counts: Sequence[int]) -> "EmpiricalEstimate":
+    def from_counts(
+        cls, outcome: PairOutcome, counts: Sequence[int], bag: int | None = None
+    ) -> "EmpiricalEstimate":
         """The estimate from the eight per-population draw counts: the hits
         are the draws from ``outcome``'s populations, ``n`` all draws."""
         hits = sum(int(counts[i - 1]) for i in outcome_populations(outcome))
-        return cls.from_hits(outcome, hits, sum(int(c) for c in counts))
+        return cls.from_hits(outcome, hits, sum(int(c) for c in counts), bag)
 
 
 def threshold_counts(draws: np.ndarray, thresholds: Sequence) -> list[int]:
@@ -208,15 +217,18 @@ def population_counts(spec: ReservoirSpec, n: int) -> np.ndarray:
 
 
 def remaining_counts(bag: PopulationTable, populations: np.ndarray) -> np.ndarray:
-    """The ``(n + 1, 8)`` counts of ``bag`` around ``n`` finite draws: row
-    ``k`` is the bag before draw ``k + 1``, the last row the bag after the
-    final draw.  The conditional probabilities before each draw are
+    """The ``(n + 1, 8)`` int64 counts of ``bag`` around ``n`` finite draws:
+    row ``k`` is the bag before draw ``k + 1``, the last row the bag after
+    the final draw.  The conditional probabilities before each draw are
     ``before / before.sum(axis=1, keepdims=True)`` with ``before = rows[:-1]``.
+    The one array made holds a one-hot row per draw, then, in place, their
+    running sums, then the bag's counts less those.
     """
     n = len(populations)
-    taken = np.zeros((n + 1, 8), dtype=np.int64)
-    taken[np.arange(1, n + 1), populations - 1] = 1
-    return np.array(bag.counts, dtype=np.int64) - taken.cumsum(axis=0)
+    rows = np.zeros((n + 1, 8), dtype=np.int64)
+    rows[np.arange(1, n + 1), populations - 1] = 1
+    np.cumsum(rows, axis=0, out=rows)
+    return np.subtract(np.array(bag.counts, dtype=np.int64), rows, out=rows)
 
 
 def empirical_probability(

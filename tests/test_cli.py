@@ -39,6 +39,7 @@ from bellstat.cli import (
 )
 from bellstat.populations import AxisTriple, PopulationTable
 from bellstat.presets import PRESET_NAMES, load_preset
+from bellstat.quantum import quantum_wigner_scan
 
 
 def cli(*args):
@@ -588,10 +589,27 @@ class TestRun:
             "quantum", None, {"axes_spacing_deg": 60.0, "samples": 1000}
         )
         scan = run(config).results["scan"]
-        (lhs,), (rhs,), (violated,) = scan["lhs"], scan["rhs"], scan["violated"]
+        (lhs,), (rhs,), (violated,) = (scan[k].tolist() for k in ("lhs", "rhs", "violated"))
         assert lhs == pytest.approx(0.375, abs=1e-12)
         assert rhs == pytest.approx(0.25, abs=1e-12)
         assert violated is True
+
+    def test_scan_table_holds_the_scan_columns_without_a_copy(self, monkeypatch):
+        scans = []
+
+        def recorded(*args):
+            scans.append(quantum_wigner_scan(*args))
+            return scans[-1]
+
+        monkeypatch.setattr("bellstat.cli.quantum_wigner_scan", recorded)
+        config = resolve_config(
+            "quantum", None, {"axes_spacing_deg": 179.0, "steps": 3000, "samples": 100}
+        )
+        table = run(config).results["scan"]
+        (scan,) = scans
+        for key in ("lhs", "rhs", "violated"):
+            assert table[key] is getattr(scan, key)
+            assert np.shares_memory(table[key], getattr(scan, key))
 
     def test_quantum_explicit_axes(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -632,6 +650,14 @@ class TestRun:
         report = run(config)
         assert report.results["final_conditional_probability"] == 1.0
         assert report.results["steps"]["step"].tolist() == [1, 2, 3]
+
+    def test_finite_simulate_of_the_whole_bag_has_no_standard_error(self):
+        config = resolve_config(
+            "simulate", None, {"table": [3, 1, 4, 1, 5, 9, 2, 6], "mode": "finite", "samples": 31}
+        )
+        estimates = run(config).results["estimates"]
+        assert [e["p_hat"] for e in estimates] == [e["reference"] for e in estimates]
+        assert [e["stderr"] for e in estimates] == [0.0, 0.0, 0.0]
 
     def test_simulate_estimates_carry_references(self):
         config = resolve_config(
@@ -1215,9 +1241,10 @@ class TestByteMatrix:
         n = FLOAT_TEXTS_MIN // 2
         numbers = [np.arange(n), np.full(n, 0.25)]
         assert _matrix_text(numbers, row, "") is not None
-        assert _matrix_text([numbers[0], [True] * n], row, "") is not None
+        assert _matrix_text([numbers[0], np.ones(n, bool)], row, "") is not None
         assert _matrix_text([column[:-1] for column in numbers], row, "") is None  # too few
-        for other in ([0.5] * n, [1] * n, np.full(n, np.nan), np.ones(n, np.float32)):
+        others = ([0.5] * n, [1] * n, [True] * n, np.full(n, np.nan), np.ones(n, np.float32))
+        for other in others:
             assert _matrix_text([numbers[0], other], row, "") is None
 
 

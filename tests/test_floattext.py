@@ -1,4 +1,5 @@
-"""``float_texts`` against Python's own ``format(v, ".17g")``, value for value."""
+"""``float_bytes`` against Python's own ``format(v, ".17g")``, value for value,
+each padded row read back through ``test_bytes.texts``."""
 
 import math
 import struct
@@ -8,13 +9,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellstat.floattext import float_texts
+from bellstat.floattext import float_bytes
+from test_bytes import texts
 
 
 def assert_matches(values):
     values = np.asarray(values, dtype=np.float64)
     expected = [format(v, ".17g") for v in values.tolist()]
-    got = float_texts(values)
+    got = texts(float_bytes(values))
     assert len(got) == len(expected)
     wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
     assert not wrong, wrong[:5]
@@ -80,9 +82,9 @@ def test_integers_and_halves_in_the_fast_range():
 
 
 def test_an_empty_array_and_a_2d_array_in_order():
-    assert float_texts(np.empty(0)) == []
+    assert texts(float_bytes(np.empty(0))) == []
     grid = np.array([[0.5, -2.0, 1e-7], [3.0, 0.0, 1e20]])
-    assert float_texts(grid) == [format(v, ".17g") for v in grid.ravel().tolist()]
+    assert texts(float_bytes(grid)) == [format(v, ".17g") for v in grid.ravel().tolist()]
 
 
 _FAST = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True) | st.floats(

@@ -148,16 +148,23 @@ class TestWignerScan:
             quantum_wigner_scan(1.0, steps=steps)
 
     def test_numpy_integer_steps_accepted(self):
-        assert quantum_wigner_scan(1.0, np.int64(3)) == quantum_wigner_scan(1.0, 3)
+        scan, expected = quantum_wigner_scan(1.0, np.int64(3)), quantum_wigner_scan(1.0, 3)
+        for name in ("theta", "lhs", "rhs", "violated"):
+            assert getattr(scan, name).tolist() == getattr(expected, name).tolist()
 
 
 class TestScanColumns:
     def test_columns_are_the_points(self):
         scan = quantum_wigner_scan(math.radians(137), 1001)
         assert len(scan) == 1001
-        assert list(scan) == list(zip(scan.theta, scan.lhs, scan.rhs, scan.violated))
-        assert {type(x) for x in scan.theta + scan.lhs + scan.rhs} == {float}
-        assert {type(x) for x in scan.violated} == {bool}
+        columns = (scan.theta, scan.lhs, scan.rhs, scan.violated)
+        assert [(type(c), c.dtype, c.shape) for c in columns] == [
+            (np.ndarray, np.float64, (1001,))
+        ] * 3 + [(np.ndarray, np.bool_, (1001,))]
+        points = list(scan)
+        assert points == list(zip(*(c.tolist() for c in columns)))
+        assert {type(x) for point in points for x in point[:3]} == {float}
+        assert {type(point.violated) for point in points} == {bool}
 
 
 def per_step_scan(spacing, steps):
@@ -178,13 +185,14 @@ def per_step_scan(spacing, steps):
 
 
 def assert_scan_is(scan, expected):
-    columns = (scan.theta, scan.lhs, scan.rhs, scan.violated)
+    columns = [c.tolist() for c in (scan.theta, scan.lhs, scan.rhs, scan.violated)]
     assert [list(map(float.hex, c)) for c in columns[:3]] == [
         list(map(float.hex, c)) for c in expected[:3]
     ]
     assert columns[3] == expected[3]
-    assert {type(x) for c in columns[:3] for x in c} == {float}
-    assert {type(x) for x in columns[3]} == {bool}
+    assert [c.dtype for c in (scan.theta, scan.lhs, scan.rhs, scan.violated)] == [
+        np.float64, np.float64, np.float64, np.bool_
+    ]
 
 
 class TestColumnarScan:

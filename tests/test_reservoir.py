@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from bellstat import (
     exact_probability,
     finite_vs_infinite_divergence,
 )
-from bellstat.reservoir import _chunks, population_counts, remaining_counts, sample
+from bellstat.populations import outcome_populations
+from bellstat.reservoir import (
+    EmpiricalEstimate,
+    _chunks,
+    population_counts,
+    remaining_counts,
+    sample,
+)
 from bellstat.rng import stream
 
 AB = PairOutcome("a", +1, "b", +1)
@@ -212,6 +220,42 @@ class TestFiniteDraws:
         assert fin.tolist() == inf
 
 
+def one_hot_remaining(bag, populations):
+    """The counts around each draw as a one-hot ``taken`` matrix and its
+    cumsum: the reference for :func:`remaining_counts`."""
+    n = len(populations)
+    taken = np.zeros((n + 1, 8), dtype=np.int64)
+    taken[np.arange(1, n + 1), populations - 1] = 1
+    return np.array(bag.counts, dtype=np.int64) - taken.cumsum(axis=0)
+
+
+class TestRemainingCounts:
+    @settings(max_examples=100)
+    @given(
+        bag=st.one_of(
+            st.sampled_from([EMPTY_POPULATIONS, NEAR_2_61]),
+            st.lists(st.integers(0, 40), min_size=8, max_size=8)
+            .filter(any)
+            .map(PopulationTable.from_counts),
+        ),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(bag=EMPTY_POPULATIONS, share=0.0, seed=0)
+    @example(bag=NEAR_2_61, share=0.0, seed=0)
+    @example(bag=EMPTY_POPULATIONS, share=1.0, seed=5)
+    @example(bag=NEAR_2_61, share=1.0, seed=2**64 - 1)
+    def test_matches_the_one_hot_cumsum(self, bag, share, seed):
+        n = round(share * min(bag.total, 3000))
+        if n:
+            populations = sample(ReservoirSpec.finite(bag, seed), n)
+        else:
+            populations = np.empty(0, dtype=np.int64)
+        got = remaining_counts(bag, populations)
+        assert got.dtype == np.int64 and got.shape == (n + 1, 8)
+        assert np.array_equal(got, one_hot_remaining(bag, populations))
+
+
 class TestDepletion:
     def test_final_draw_is_certain(self):
         bag = PopulationTable.from_counts((2, 1, 0, 0, 0, 0, 0, 0))
@@ -338,6 +382,37 @@ class TestEmpiricalProbability:
         est = empirical_probability(draws, AB)
         exact = exact_probability(PopulationTable.uniform(), AB).value
         assert abs(est.p_hat - exact) <= 4 * est.stderr
+
+
+class TestFiniteStandardError:
+    """Draws without replacement: the standard error of ``p_hat`` carries the
+    finite-population correction ``(N - n) / (N - 1)``."""
+
+    BAG = (2, 1, 0, 1, 1, 0, 0, 1)
+
+    @pytest.mark.parametrize("outcome", [AB, PairOutcome("c", -1, "b", +1)])
+    def test_mean_square_error_over_every_ordered_draw(self, outcome):
+        # Each pair of the bag by its population; hits are pairs of outcome's.
+        hit = [p in outcome_populations(outcome) for p, c in enumerate(self.BAG, 1)
+               for _ in range(c)]
+        big_n = len(hit)
+        share = Fraction(sum(hit), big_n)
+        for n in range(1, big_n + 1):
+            draws = [sum(hit[i] for i in order) for order in permutations(range(big_n), n)]
+            mse = sum((Fraction(h, n) - share) ** 2 for h in draws) / len(draws)
+            assert mse == share * (1 - share) / n * Fraction(big_n - n, big_n - 1)
+            for h in set(draws):
+                p_hat = Fraction(h, n)
+                variance = p_hat * (1 - p_hat) / n * Fraction(big_n - n, big_n - 1)
+                est = EmpiricalEstimate.from_hits(outcome, h, n, bag=big_n)
+                assert est.p_hat == h / n
+                assert est.stderr == pytest.approx(math.sqrt(variance), rel=1e-15, abs=0.0)
+                if n == big_n:
+                    assert est.stderr == 0.0
+
+    def test_a_bag_of_one_and_independent_draws(self):
+        assert EmpiricalEstimate.from_hits(AB, 1, 1, bag=1).stderr == 0.0
+        assert EmpiricalEstimate.from_hits(AB, 3, 10).stderr == math.sqrt(0.3 * 0.7 / 10)
 
 
 class TestDivergence:
