@@ -53,29 +53,30 @@ column: a 1-D array of one number or bool per row, a 2-D array of the rows'
 number lists, or a list.  Any other list, short lists of dicts included, is
 written value by value.  Each command's CSV is a list of such columns.  JSON
 rows and CSV lines share one block pass: each block of up to 1024 rows
-becomes one string through one row template, by one rule on its size and
-column types.  A block of at least :data:`FLOAT_TEXTS_MIN` values whose
-columns are all integer or bool arrays or finite float64 arrays is one byte
-matrix, a row per block row: the template's literal bytes, and between them
-each value's text, padded, from :mod:`~bellstat.floattext` (``%.17g`` and
-``%d`` computed exactly in numpy, so the bytes do not change); one
-``translate`` deletes the pads.  Every other block is filled by one ``%``: an
-integer array gets ``%d``, a finite float64 array ``%.17g``, and every other
-column, a list or a non-finite or non-float64 array, its value texts, which
-reject a NaN.
+becomes one string through one row template.  One rule, told once per table
+column, says how a column's values become text (:func:`_kind`): ``%d`` for
+an integer array, ``%.17g`` for a finite float64 array, ``b`` for a bool
+array, and none for any other column, a list or a non-finite or other array,
+whose values are written one by one through their texts, which reject a NaN.
+A block of at least :data:`FLOAT_TEXTS_MIN` values whose columns all have a
+kind is one byte matrix, a row per block row: the template's literal bytes,
+and between them each value's text, padded, from :mod:`~bellstat.floattext`
+(``%.17g`` and ``%d`` computed exactly in numpy, so the bytes do not change);
+one ``translate`` deletes the pads.  Every other block is filled by one
+``%``, each column by its kind's piece or its value texts.
 
 :func:`main` writes the report while it is made, block by block, to stdout
 or the ``--out`` file, and never holds its whole text.  Everything but the
 :class:`Columns` tables (config, meta, every other result) is made first, as
 one text; each table's blocks of up to 1024 rows are then made and written
-one at a time.  Before the first byte is written, in a table longer than one
-block whose columns are all arrays, every float64 column passes one
-``np.isfinite(...).all()``; a table of one block, one with a list column, or
-one with a column this check cannot clear, is made into text there, which
-raises the writer's own error.  So a report that fails exits 2 and writes
-nothing.  Exit 3 (a failed write) can leave a partial stdout or ``--out``
-file, as a failed write of the whole text could.  :func:`dumps_stable`,
-:func:`emit` and ``_csv_lines`` join the same pieces into one string.
+one at a time.  Only a table longer than one block whose columns all have a
+kind is made so, lazily: telling a float64 column's kind took its one
+``np.isfinite(...).all()``, so none of its blocks can fail.  Any other
+table is made into text before the first byte is written, which raises the
+writer's own error.  So a report that fails exits 2 and writes nothing.
+Exit 3 (a failed write) can leave a partial stdout or ``--out`` file, as a
+failed write of the whole text could.  :func:`dumps_stable` and :func:`emit`
+join the same pieces into one string.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.  :func:`main` builds
 its parser once per process (:func:`build_parser` is cached) and reuses it on
@@ -142,7 +143,7 @@ MAX_SAMPLES = 10**8
 MAX_ROWS = 10**6
 
 #: Fewest values in a block of report rows that is written as one byte matrix
-#: (see :func:`_matrix_text`); below it the ``%`` fill is faster (the two
+#: (see :func:`_blocks`); below it the ``%`` fill is faster (the two
 #: cross between 1,000 and 1,500 values, for drain steps and scan points).
 FLOAT_TEXTS_MIN = 1024
 
@@ -268,52 +269,52 @@ def _texts(
     ]
 
 
-def _value_columns(
-    block: Sequence[Any] | np.ndarray, texts: Callable[[Sequence[Any]], list[str]]
-) -> list[tuple[str, Sequence[Any]]]:
-    """Each value column of one column's block with its ``%`` piece, by the
-    column's type alone.  A list is one value column, filled with its
-    ``texts``.  An array gives one value column per array column: ``%d`` for
-    an integer dtype, ``%.17g`` for finite float64; any other array
-    (non-finite, bool, float32) is filled with its value ``texts``."""
-    if not isinstance(block, np.ndarray):
-        return [("%s", texts(block))]
-    columns = np.atleast_2d(block.T)
-    if block.dtype.kind in "iu":
-        return [("%d", cells) for cells in columns.tolist()]
-    if block.dtype != np.float64 or not np.isfinite(block).all():
-        return [("%s", texts(cells)) for cells in columns.tolist()]
-    return [("%.17g", cells) for cells in columns.tolist()]
-
-
-def _plain(column: Sequence[Any] | np.ndarray) -> bool:
-    """Whether ``column`` is an array whose every value has a text, told
-    without making one: an integer or bool array, or a finite float64 array."""
+def _kind(column: Sequence[Any] | np.ndarray) -> str:
+    """How the values of one table column become text, told once per table:
+    ``%d`` for an integer array, ``%.17g`` for a finite float64 array, ``b``
+    for a bool array, and ``""`` for any other column (a list, or a
+    non-finite or other array), whose values are written one by one through
+    their texts, which raise the writer's own error."""
     if not isinstance(column, np.ndarray):
-        return False
-    kind = column.dtype.kind
-    return kind in "iub" or (column.dtype == np.float64 and bool(np.isfinite(column).all()))
+        return ""
+    if column.dtype.kind in "iu":
+        return "%d"
+    if column.dtype == np.bool_:
+        return "b"
+    return "%.17g" if column.dtype == np.float64 and np.isfinite(column).all() else ""
+
+
+def _value_columns(
+    block: Sequence[Any] | np.ndarray, kind: str, texts: Callable[[Sequence[Any]], list[str]]
+) -> list[tuple[str, Sequence[Any]]]:
+    """Each value column of one column's block with its ``%`` piece: the
+    column's :func:`_kind` where it is one, else ``%s`` with the value
+    ``texts``.  A list is one value column; an array gives one per array
+    column."""
+    cells = np.atleast_2d(block.T).tolist() if isinstance(block, np.ndarray) else [block]
+    if kind in ("%d", "%.17g"):
+        return [(kind, column) for column in cells]
+    return [("%s", texts(column)) for column in cells]
 
 
 def _matrix_text(
-    block: Sequence[Sequence[Any] | np.ndarray], row: Callable[[list[list[str]]], str], sep: str
-) -> str | None:
-    """The text of a block of at least :data:`FLOAT_TEXTS_MIN` values whose
-    columns are all :func:`_plain` arrays, else ``None``.  Each column's texts
-    are one byte matrix from :mod:`~bellstat.floattext`, a padded text per
-    value; they are laid between the row template's literal bytes in one
-    matrix, a row per block row, whose pads one ``translate`` deletes."""
-    if sum(map(np.size, block)) < FLOAT_TEXTS_MIN or not all(map(_plain, block)):
-        return None
+    block: Sequence[np.ndarray], kinds: Sequence[str], row: Callable[[list[list[str]]], str],
+    sep: str,
+) -> str:
+    """The text of a block of arrays, each of a set :func:`_kind`.  Each
+    column's texts are one byte matrix from :mod:`~bellstat.floattext`, a
+    padded text per value; they are laid between the row template's literal
+    bytes in one matrix, a row per block row, whose pads one ``translate``
+    deletes."""
     from .floattext import PAD, float_bytes, int_bytes  # compiled on first use
 
     bools = np.frombuffer(b"false" + b"true".ljust(5, PAD), dtype=np.uint8).reshape(2, 5)
     cells = []  # (rows, k, width): a column's k texts a row
-    for values in block:
-        if values.dtype == np.bool_:
+    for values, kind in zip(block, kinds):
+        if kind == "b":
             matrix = bools[values.view(np.uint8).ravel()]
         else:
-            matrix = (int_bytes if values.dtype.kind in "iu" else float_bytes)(values)
+            matrix = (int_bytes if kind == "%d" else float_bytes)(values)
         cells.append(matrix.reshape(len(values), -1, matrix.shape[1]))
     # The template with a NUL per cell; % () turns each %% back into %.
     row_text = (row([["\0"] * c.shape[1] for c in cells]) + sep) % ()
@@ -342,17 +343,26 @@ def _blocks(
 ) -> Iterator[str]:
     """Each block of up to :data:`_BLOCK_ROWS` rows of ``columns`` as one
     string: ``row(pieces)``, the row template of each column's pieces, once per
-    row, joined by ``sep``.  A block that :func:`_matrix_text` takes is written
-    by it; any other is filled by one ``%`` with the value columns of
-    :func:`_value_columns`."""
-    for i in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
-        block = [column[i:i + _BLOCK_ROWS] for column in columns]
-        text = _matrix_text(block, row, sep)
-        if text is None:
-            pairs = [_value_columns(column, texts) for column in block]
+    row, joined by ``sep``.  Each column's :func:`_kind` is told once, here.
+    A block of at least :data:`FLOAT_TEXTS_MIN` values whose every kind is set
+    is one :func:`_matrix_text`; any other is filled by one ``%`` with the
+    value columns of :func:`_value_columns`.  A table of more than one block
+    whose every kind is set is made lazily, as it is read; any other is made
+    here, so writing its blocks cannot raise :class:`ValidationError`."""
+    kinds = list(map(_kind, columns))
+    plain, n = all(kinds), len(columns[0]) if columns else 0
+
+    def made() -> Iterator[str]:
+        for i in range(0, n, _BLOCK_ROWS):
+            block = [column[i:i + _BLOCK_ROWS] for column in columns]
+            if plain and sum(map(np.size, block)) >= FLOAT_TEXTS_MIN:
+                yield _matrix_text(block, kinds, row, sep)
+                continue
+            pairs = [_value_columns(column, kind, texts) for column, kind in zip(block, kinds)]
             values = [cells for column in pairs for _, cells in column]
-            text = _fill(row([[piece for piece, _ in column] for column in pairs]), sep, values)
-        yield text
+            yield _fill(row([[piece for piece, _ in column] for column in pairs]), sep, values)
+
+    return made() if plain and n > _BLOCK_ROWS else iter(list(made()))
 
 
 def _fill(row: str, sep: str, values: Sequence[Sequence[Any]]) -> str:
@@ -387,20 +397,6 @@ def _rows(columns: Columns, indent: int) -> Iterator[str]:
                    lambda c: _texts(c, indent + 1))
 
 
-def _checked(
-    columns: Iterable[Sequence[Any] | np.ndarray], blocks: Iterator[str]
-) -> Iterator[str]:
-    """``blocks``, the text of ``columns``, made such that writing them cannot
-    raise :class:`ValidationError`.  A table of one block is made here.  A
-    longer one is left lazy when every column is a :func:`_plain` array, else
-    it is made here too (a list column included), which raises the writer's
-    own error in its own order."""
-    columns = list(columns)
-    if columns and len(columns[0]) > _BLOCK_ROWS and all(map(_plain, columns)):
-        return blocks
-    return iter(list(blocks))
-
-
 def _bracketed(blocks: Iterator[str], indent: int) -> Iterator[str]:
     """A table's JSON list at ``indent``, one piece per block of rows: its
     separator, then its rows; the closing bracket is a piece of its own."""
@@ -414,13 +410,14 @@ def _bracketed(blocks: Iterator[str], indent: int) -> Iterator[str]:
 
 def _text(obj: Any, indent: int, tables: list[Iterator[str]] | None) -> str:
     """The JSON text of ``obj`` at ``indent``.  Each :class:`Columns` is
-    checked (:func:`_checked`) where it is met; with ``tables`` it stands in
-    the text as one ``"\\0"``, which no other JSON text holds, and its pieces
-    are appended to ``tables`` in text order.  Without, it is written inline."""
+    handed to :func:`_rows` where it is met (:func:`_blocks` makes it there,
+    or lazily where no block can fail); with ``tables`` it stands in the text
+    as one ``"\\0"``, which no other JSON text holds, and its pieces are
+    appended to ``tables`` in text order.  Without, it is written inline."""
     if (to_text := _SCALARS.get(type(obj))) is not None:
         return to_text(obj)
     if isinstance(obj, Columns):
-        table = _bracketed(_checked(obj.values(), _rows(obj, indent + 1)), indent)
+        table = _bracketed(_rows(obj, indent + 1), indent)
         if tables is None:
             return "".join(table)
         tables.append(table)
@@ -476,16 +473,13 @@ def _csv_parts(
     per array column), each block as one string through one ``,``-joined row
     template, made by the one rule of :func:`_blocks`.  Each block is
     one piece, the header goes with the first; any :class:`ValidationError` is
-    raised by this call (see :func:`_checked`)."""
-    blocks = _checked(columns, _blocks(
+    raised by this call, as :func:`_blocks` makes a table with a column of no
+    :func:`_kind` at once."""
+    blocks = _blocks(
         columns, lambda pieces: ",".join(chain.from_iterable(pieces)) + "\n", "",
         lambda c: list(map(_csv_cell, c)),
-    ))
+    )
     return chain([",".join(header) + "\n" + next(blocks, "")], blocks)
-
-
-def _csv_lines(header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]) -> str:
-    return "".join(_csv_parts(header, columns))
 
 
 # ---------------------------------------------------------------------------

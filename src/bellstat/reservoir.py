@@ -10,12 +10,12 @@ Two source models:
   population survives last.
 
 ``simulate`` reads only :func:`population_counts`, the eight per-population
-draw counts; in infinite mode they are folded chunk by chunk, so no per-draw
-array exists.  :func:`sample` is the per-draw column, for the drain, the
-divergence report and the tests: the population (1-8) of each draw, in step
-order.  For a finite bag, :func:`remaining_counts` rebuilds the counts around
-every draw from that column; the conditional probabilities are its rows over
-their sums.  A divergence report holds two arrays with one row per seed and
+draw counts, folded chunk by chunk in infinite mode and read off the bag left
+in finite mode, so no per-draw array exists.  :func:`sample` is the per-draw
+column, for the drain, the divergence report and the tests: the population
+(1-8) of each draw, in step order.  For a finite bag, :func:`remaining_counts`
+rebuilds the counts around every draw from that column; the conditional
+probabilities are its rows over their sums.  A divergence report holds two arrays with one row per seed and
 one column per step.
 
 One threshold rule places every draw, here and in the quantum sampler: a draw
@@ -158,6 +158,29 @@ def _chunks(spec: ReservoirSpec, n: int) -> Iterator[tuple[int, int, np.ndarray]
         yield start, stop, draws
 
 
+def _finite_chunks(
+    spec: ReservoirSpec, n: int, left: list[int]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Finite mode's ``n`` draws without replacement, ``CHUNK_SIZE`` at a
+    time, as ``(start, stop, populations)``, while ``left``, the bag's eight
+    counts, loses each pair as it is drawn.  Draw k is uniform below the total
+    left before it: one ``integers`` call per chunk of bounds gives the same
+    integers as one call over all ``n``, with only a chunk of Python ints
+    alive, and ``u < sum(left)`` stops the scan over the counts."""
+    total = spec.composition.total
+    rng = stream(spec.seed)
+    for start in range(0, n, CHUNK_SIZE):
+        stop, chunk = min(start + CHUNK_SIZE, n), []
+        for u in rng.integers(0, np.arange(total - start, total - stop, -1)).tolist():
+            i = 0
+            while u >= left[i]:
+                u -= left[i]
+                i += 1
+            left[i] -= 1
+            chunk.append(i + 1)
+        yield start, stop, chunk
+
+
 def sample(spec: ReservoirSpec, n: int) -> np.ndarray:
     """Draw ``n`` pairs from the reservoir: the populations drawn (1-8), in
     step order, as a 1-D int64 array.
@@ -165,8 +188,9 @@ def sample(spec: ReservoirSpec, n: int) -> np.ndarray:
     The array is allocated once and filled chunk by chunk in both modes.
     Infinite mode: i.i.d. categorical draws with probabilities N_i / total,
     one Philox sub-stream per chunk (:func:`_chunks`).  Finite mode: uniform
-    draws without replacement from the bag, sequential by nature;
-    :func:`remaining_counts` gives the bag around each draw.
+    draws without replacement from the bag, sequential by nature
+    (:func:`_finite_chunks`); :func:`remaining_counts` gives the bag around
+    each draw.
     """
     _check_count(spec, n)
     populations = np.empty(n, dtype=np.int64)
@@ -180,20 +204,7 @@ def sample(spec: ReservoirSpec, n: int) -> np.ndarray:
                 filled += draws >= t
         return populations
 
-    # finite mode: draw k is uniform below the total left before it (one call
-    # per chunk of bounds gives the same integers as one call over all n, with
-    # only a chunk of Python ints alive), and u < sum(current) stops the scan.
-    total = spec.composition.total
-    rng, current = stream(spec.seed), list(spec.composition.counts)
-    for start in range(0, n, CHUNK_SIZE):
-        stop, chunk = min(start + CHUNK_SIZE, n), []
-        for u in rng.integers(0, np.arange(total - start, total - stop, -1)).tolist():
-            i = 0
-            while u >= current[i]:
-                u -= current[i]
-                i += 1
-            current[i] -= 1
-            chunk.append(i + 1)
+    for start, stop, chunk in _finite_chunks(spec, n, list(spec.composition.counts)):
         populations[start:stop] = chunk
     return populations
 
@@ -203,13 +214,16 @@ def population_counts(spec: ReservoirSpec, n: int) -> np.ndarray:
     population, as an int64 array of 8: the same numbers as
     ``np.bincount(sample(spec, n), minlength=9)[1:]``.
 
-    Infinite mode folds each chunk into the counts with
-    :func:`threshold_counts` and holds no per-draw array.  Finite mode counts
-    the column of :func:`sample`.
+    Neither mode holds a per-draw array.  Infinite mode folds each chunk into
+    the counts with :func:`threshold_counts`.  Finite mode runs the draws of
+    :func:`_finite_chunks` and returns the bag less what is left of it.
     """
-    if spec.mode == "finite":
-        return np.bincount(sample(spec, n), minlength=9)[1:]
     _check_count(spec, n)
+    if spec.mode == "finite":
+        left = list(spec.composition.counts)
+        for _ in _finite_chunks(spec, n, left):
+            pass
+        return np.subtract(spec.composition.counts, left, dtype=np.int64)
     counts, inner = np.zeros(8, dtype=np.int64), _inner_thresholds(spec)
     for _, _, draws in _chunks(spec, n):
         counts += threshold_counts(draws, inner)
@@ -234,7 +248,12 @@ def remaining_counts(bag: PopulationTable, populations: np.ndarray) -> np.ndarra
 def empirical_probability(
     draws: np.ndarray, outcome: PairOutcome
 ) -> EmpiricalEstimate:
-    """Fraction of draws (populations 1-8) that contribute to ``outcome``."""
+    """Fraction of draws (populations 1-8) that contribute to ``outcome``.
+
+    It treats the draws as independent, so its ``stderr`` is the binomial
+    one.  For draws without replacement from a bag of ``bag`` pairs, take
+    ``EmpiricalEstimate.from_counts(outcome, counts, bag)`` on the draws'
+    eight counts, which applies the finite-population correction."""
     if len(draws) == 0:
         raise ValidationError("cannot estimate from an empty draw list")
     return EmpiricalEstimate.from_counts(outcome, np.bincount(draws, minlength=9)[1:])

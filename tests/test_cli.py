@@ -10,7 +10,6 @@ import struct
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from bellstat.cli import (
     Columns,
     Command,
     RunReport,
-    _csv_lines,
     _csv_parts,
     _matrix_text,
     _parts,
@@ -1065,14 +1063,14 @@ class TestCsvWriter:
     @given(table=_csv_tables())
     def test_matches_the_per_cell_writer(self, table):
         header, rows = table
-        assert _csv_lines(header, _columns_of(rows)) == reference_csv(header, rows)
+        assert "".join(_csv_parts(header, _columns_of(rows))) == reference_csv(header, rows)
 
     @pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
     def test_non_finite_numbers_rejected(self, value):
         rows = [[1, 0.5, True]] * 1500
         rows[1200] = [2, value, False]
         with pytest.raises(ValidationError, match="non-finite"):
-            _csv_lines(("a", "b", "c"), _columns_of(rows))
+            "".join(_csv_parts(("a", "b", "c"), _columns_of(rows)))
 
 
 _COLUMN_KINDS = (
@@ -1158,7 +1156,8 @@ class TestColumnTable:
         assert dumps_stable(columns, indent) == reference_dumps(dicts, indent)
         assert dumps_stable({"rows": columns}, indent) == reference_dumps({"rows": dicts}, indent)
         header = [f"c{i}" for i in range(len(csv_rows[0]))]
-        assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
+        text = "".join(_csv_parts(header, list(columns.values())))
+        assert text == reference_csv(header, csv_rows)
 
     def test_streamed_pieces_join_to_the_text_one_block_each(self):
         rng = random.Random(5)
@@ -1181,7 +1180,7 @@ class TestColumnTable:
         empty = Columns(a=[], b=np.empty((0, 3)))
         assert dumps_stable(empty) == "[]"
         assert dumps_stable({"a": empty}) == '{\n  "a": []\n}'
-        assert _csv_lines(("a",), list(empty.values())) == "a\n"
+        assert "".join(_csv_parts(("a",), list(empty.values()))) == "a\n"
 
     def test_numpy_scalars_in_a_list_column_are_rejected(self):
         with pytest.raises(ValidationError, match="cannot serialize int64"):
@@ -1234,18 +1233,32 @@ class TestByteMatrix:
             dicts, csv_rows = _rows_of(columns)
             assert dumps_stable({"rows": columns}, 1) == reference_dumps({"rows": dicts}, 1)
             header = [f"c{i}" for i in range(len(csv_rows[0]))]
-            assert _csv_lines(header, list(columns.values())) == reference_csv(header, csv_rows)
+            text = "".join(_csv_parts(header, list(columns.values())))
+            assert text == reference_csv(header, csv_rows)
 
-    def test_which_blocks_take_the_matrix(self):
-        row = lambda pieces: ",".join(chain.from_iterable(pieces)) + "\n"
+    def test_which_blocks_take_the_matrix(self, monkeypatch):
+        sent = []  # the rows of each block that _blocks sends to the byte matrix
+        def recorded(block, *args):
+            sent.append(len(block[0]))
+            return _matrix_text(block, *args)
+        monkeypatch.setattr("bellstat.cli._matrix_text", recorded)
+        def taken(columns):
+            sent.clear()
+            header = [f"c{i}" for i in range(len(columns))]
+            rows = zip(*(np.asarray(column).tolist() for column in columns))
+            assert "".join(_csv_parts(header, columns)) == reference_csv(header, rows)
+            return sent == [len(columns[0])]
         n = FLOAT_TEXTS_MIN // 2
         numbers = [np.arange(n), np.full(n, 0.25)]
-        assert _matrix_text(numbers, row, "") is not None
-        assert _matrix_text([numbers[0], np.ones(n, bool)], row, "") is not None
-        assert _matrix_text([column[:-1] for column in numbers], row, "") is None  # too few
-        others = ([0.5] * n, [1] * n, [True] * n, np.full(n, np.nan), np.ones(n, np.float32))
-        for other in others:
-            assert _matrix_text([numbers[0], other], row, "") is None
+        assert taken(numbers)
+        assert taken([numbers[0], np.ones(n, bool)])
+        assert not taken([column[:-1] for column in numbers])  # too few
+        for other in ([0.5] * n, [1] * n, [True] * n, np.ones(n, np.float32)):
+            assert not taken([numbers[0], other])
+        sent.clear()
+        with pytest.raises(ValidationError, match="non-finite"):
+            _csv_parts(("a", "b"), [numbers[0], np.full(n, np.nan)])
+        assert sent == []
 
 
 class _Pieces(io.StringIO):

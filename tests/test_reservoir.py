@@ -340,6 +340,28 @@ class TestPopulationCounts:
         assert counts.dtype == np.int64 and counts.shape == (8,)
         assert np.array_equal(counts, np.bincount(sample(spec, n), minlength=9)[1:])
 
+    @settings(max_examples=100)
+    @given(
+        bag=st.one_of(
+            st.sampled_from([EMPTY_POPULATIONS, NEAR_2_61]),
+            st.lists(st.integers(0, 40) | st.integers(0, 2**40), min_size=8, max_size=8)
+            .filter(any)
+            .map(PopulationTable.from_counts),
+        ),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(bag=EMPTY_POPULATIONS, share=1.0, seed=0)
+    @example(bag=NEAR_2_61, share=1.0, seed=2**64 - 1)
+    @example(bag=PopulationTable.from_counts((0, 0, 0, 0, 0, 0, 0, 1)), share=1.0, seed=3)
+    def test_finite_counts_are_the_sample_bincount(self, bag, share, seed):
+        # The counts come from the bag left, never from the per-draw column.
+        n = max(1, round(share * min(bag.total, 3000)))
+        spec = ReservoirSpec.finite(bag, seed)
+        counts = population_counts(spec, n)
+        assert counts.dtype == np.int64 and counts.shape == (8,)
+        assert np.array_equal(counts, np.bincount(sample(spec, n), minlength=9)[1:])
+
     @pytest.mark.parametrize("mode", ["infinite", "finite"])
     def test_zero_draws_rejected(self, mode):
         spec = ReservoirSpec(mode, PopulationTable.uniform(), seed=1)
