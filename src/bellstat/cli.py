@@ -49,9 +49,11 @@ significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
 :func:`dumps_stable`, fills a cached template per dict shape, writing each value
 of an exact scalar type inline; only containers and subclasses recurse.  Report rows
 (scan points, drain steps) are handed over as a :class:`Columns` table, key ->
-column: a 1-D array of one number or bool per row, a 2-D array of the rows'
-number lists, or a list.  Any other list, short lists of dicts included, is
-written value by value.  Each command's CSV is a list of such columns.  JSON
+column: a 1-D array of one number or bool per row, or a 2-D array of the
+rows' number lists.  Any other list, short lists of dicts included, is
+written value by value.  Each command's CSV is a list of such columns; only
+the few-row CSV tables of exact, simulate, entropy and counterexample are
+lists.  JSON
 rows and CSV lines share one block pass: each block of up to 1024 rows
 becomes one string through one row template.  One rule, told once per table
 column, says how a column's values become text (:func:`_kind`): ``%d`` for
@@ -78,7 +80,8 @@ Exit 3 (a failed write) can leave a partial stdout or ``--out`` file, as a
 failed write of the whole text could.  :func:`dumps_stable` and :func:`emit`
 join the same pieces into one string.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error.  :func:`main` builds
+Exit codes: 0 success, 2 validation error, argv the parser rejects included
+(only ``--help`` exits through argparse), 3 I/O error.  :func:`main` builds
 its parser once per process (:func:`build_parser` is cached) and reuses it on
 every later call.
 """
@@ -94,14 +97,13 @@ import time
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
 from itertools import accumulate, chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import ValidationError
 from .populations import (
-    TOL,
     Axis,
     AxisTriple,
     InequalityReport,
@@ -678,10 +680,11 @@ def _run_quantum(config: ExperimentConfig) -> dict:
         for o in WIGNER_OUTCOMES
     ]
     if config.axes is not None:
-        lhs, rhs = references[0], references[1] + references[2]
+        check = wigner_check_probabilities(*references)
         scan = Columns(
-            theta_deg=[math.degrees(axes.angle("a", "c"))],
-            lhs=[lhs], rhs=[rhs], violated=[lhs > rhs + TOL],
+            theta_deg=np.array([math.degrees(axes.angle("a", "c"))]),
+            lhs=np.array([check.lhs]), rhs=np.array([check.rhs]),
+            violated=np.array([not check.holds]),
         )
     else:
         deg, steps = config.axes_spacing_deg, config.steps
@@ -849,8 +852,6 @@ def _load_config_file(ref: str) -> dict:
 
 
 def _axes_from(value: Any) -> AxisTriple:
-    if isinstance(value, AxisTriple):
-        return value
     if not isinstance(value, dict) or set(value) != {"a", "b", "c"}:
         raise ValidationError("axes must be an object with keys 'a', 'b', 'c'")
     def axis(label: str) -> Axis:
@@ -932,13 +933,21 @@ def resolve_config(command: str, config_ref: str | None, overrides: dict[str, An
     return ExperimentConfig(command=command, **converted)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise :class:`ValidationError`, so a flag it
+    cannot parse, an unknown command or none exits 2 with one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser: every command takes the same flags, and
     :class:`ExperimentConfig` rejects one it does not read.  Built on first use
     and reused for the life of the process: ``parse_args`` leaves it as it
     was, and help reads the terminal width when it is printed."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellstat",
         description="Population-counting Bell inequality experiments.",
         epilog="commands:\n" + "\n".join(f"  {n:<16}{c.help}" for n, c in COMMANDS.items()),
@@ -967,11 +976,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Keys without a flag (axes, steps, mode) come from --config only.
-    overrides = {key: getattr(args, key, None) for key in _DEFAULTS}
     try:
+        args = build_parser().parse_args(argv)
+        # Keys without a flag (axes, steps, mode) come from --config only.
+        overrides = {key: getattr(args, key, None) for key in _DEFAULTS}
         config = resolve_config(args.command, args.config, overrides)
         report = run(config, workers=args.workers)
         parts = _report_parts(report, config.format)

@@ -33,6 +33,7 @@ from .populations import (
     PopulationTable,
     Term,
     _report,
+    holds,
     population_pair_partition,
 )
 from .rng import stream
@@ -319,12 +320,12 @@ def find_multiplicity_counterexample(
             lhs = w[:, 2] * w[:, 3]
             rhs = w[:, 1] * w[:, 3] + w[:, 2] * w[:, 6]
             valid = ((w > 0) & np.isfinite(w)).all(axis=1) & np.isfinite(lhs) & np.isfinite(rhs)
-            holds = valid & (rhs - lhs >= -TOL)
+            held = valid & holds(lhs, rhs)
         # Only the vectors that do not plainly hold become objects: each is
         # checked by multiplicity_inequality, which returns the violator or
         # raises the error an invalid vector raises.  The first vector is
         # always checked, so a bad ``epsilon`` raises where it always did.
-        for i in range(len(w)) if drawn == 0 else np.flatnonzero(~holds).tolist():
+        for i in range(len(w)) if drawn == 0 else np.flatnonzero(~held).tolist():
             v = MultiplicityVector.from_iterable(w[i])
             if not multiplicity_inequality(v, epsilon=epsilon).holds:
                 return v

@@ -309,6 +309,12 @@ class InequalityReport:
     note: str = ""
 
 
+def holds(lhs, rhs):
+    """The one verdict of every inequality check: ``lhs <= rhs`` within
+    :data:`TOL`, on floats or elementwise on arrays."""
+    return rhs - lhs >= -TOL
+
+
 def _report(
     lhs: float,
     rhs: float,
@@ -323,7 +329,7 @@ def _report(
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        holds=margin >= -TOL,
+        holds=holds(lhs, rhs),
         terms=terms,
         equal_multiplicity_precondition=precondition,
         note=note,

@@ -10,10 +10,12 @@ violate P(+a;+b) <= P(+a;+c) + P(+c;+b) for coplanar axes with a-c and c-b
 spacing theta anywhere in 0 < theta < pi/2.  No population table can
 reproduce those numbers, since every table satisfies the inequality with
 margin (N_2 + N_7) / total >= 0.  That facet is the only one the scans
-check.  For pi/2 < theta < pi the singlet numbers fit no table either: with
-correlations E_ac = E_cb = cos(theta) and E_ab = cos(2 theta), they break
-the facet 1 + E_ab + E_ac + E_cb >= 0, whose left side is
-2 cos(theta) (1 + cos(theta)) < 0 there (Fine, PRL 48, 291 (1982)).
+check; a step's ``violated`` is the negation of the one verdict,
+:func:`~bellstat.populations.holds`.  For pi/2 < theta < pi the singlet
+numbers fit no table either: with correlations E_ac = E_cb = cos(theta) and
+E_ab = cos(2 theta), they break the facet 1 + E_ab + E_ac + E_cb >= 0, whose
+left side is 2 cos(theta) (1 + cos(theta)) < 0 there (Fine, PRL 48, 291
+(1982)).
 
 One float kernel, on plain direction tuples and with ``math`` only, is
 :func:`singlet_prediction`.  :func:`quantum_wigner_scan` gives the same
@@ -48,13 +50,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .populations import (
-    TOL,
     AXIS_LABELS,
     Axis,
     AxisLabel,
     AxisTriple,
     PairOutcome,
     direction_angle,
+    holds,
 )
 from .reservoir import EmpiricalEstimate, threshold_counts
 from .rng import stream
@@ -180,9 +182,10 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     theta = spacing/steps, ..., spacing on coplanar axes with a-c and c-b
     angles theta (a-b angle 2*theta).  Each step checks
     P(+a;+b) <= P(+a;+c) + P(+c;+b), giving lhs = (1/2) sin^2(theta) and
-    rhs = sin^2(theta/2), and flags lhs > rhs + 1e-12: a violation is
-    flagged where 0 < theta < pi/2, except below theta ~ 2e-6, where the
-    margin lhs - rhs ~ theta^2 / 4 is under the 1e-12 tolerance.
+    rhs = sin^2(theta/2), and flags ``violated`` where
+    :func:`~bellstat.populations.holds` fails: a violation is flagged where
+    0 < theta < pi/2, except below theta ~ 2e-6, where the margin
+    lhs - rhs ~ theta^2 / 4 is under the 1e-12 tolerance.
 
     ``violated`` checks that one facet only; for theta in (pi/2, pi) the
     singlet numbers break another (see the module docstring).
@@ -228,7 +231,7 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
         lhs, ac, cb = p.reshape(3, n)
         scan.lhs[start:stop] = lhs
         rhs = np.add(ac, cb, out=scan.rhs[start:stop])
-        np.greater(lhs, rhs + TOL, out=scan.violated[start:stop])
+        np.logical_not(holds(lhs, rhs), out=scan.violated[start:stop])
     return scan
 
 
@@ -262,10 +265,6 @@ class SingletSampleCounts:
             _SIGNS.index(outcome.bob_sign),
         ]
         return EmpiricalEstimate.from_hits(outcome, int(hits), n_pair)
-
-    def alice_sign_marginal(self) -> float:
-        """Fraction of all pairs where Alice measured +1."""
-        return int(self.counts[:, :, 0].sum()) / self.n
 
 
 def _blocks(n: int) -> list[int]:

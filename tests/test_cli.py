@@ -546,8 +546,8 @@ class TestExitCodeContract:
         self, tmp_path, monkeypatch, case, command_first, flags, config_ref
     ):
         """Every argv and config file ends in exit 0, or in exit 2/3 with one
-        ``bellstat:`` line; argparse's own exit 2 for a flag it cannot parse
-        comes as ``SystemExit``."""
+        ``bellstat:`` line; ``main`` never raises, not even for a flag
+        argparse cannot parse."""
         command, base, changes = case
         config = {**base, **changes}
         monkeypatch.chdir(tmp_path)  # relative ``out`` names land here
@@ -559,12 +559,8 @@ class TestExitCodeContract:
         options = [part for flag, value in flags.items() for part in (flag, value)]
         argv = [command, *options] if command_first else [*options, command]
         err = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2
-            return
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
         assert code in (0, 2, 3)
         if code == 0:
             assert err.getvalue() == ""
@@ -618,10 +614,19 @@ class TestRun:
         (theta_deg,) = run(config).results["scan"]["theta_deg"]
         assert theta_deg == pytest.approx(90.0, abs=1e-9)
 
+    def test_explicit_axes_scan_is_one_row_of_arrays(self):
+        axes = {"a": [0, 0, 1], "b": [0.28, 0.96, 0], "c": [0.8, 0.6, 0]}
+        scan = run(resolve_config("quantum", None, {"axes": axes, "samples": 100})).results["scan"]
+        for key, dtype in (("theta_deg", np.float64), ("lhs", np.float64),
+                           ("rhs", np.float64), ("violated", np.bool_)):
+            assert isinstance(scan[key], np.ndarray), key
+            assert scan[key].dtype == dtype and scan[key].shape == (1,), key
+
     @pytest.mark.parametrize("spacing_deg", [30.0, 60.0, 90.0, 135.0])
     def test_explicit_axes_match_axes_spacing(self, spacing_deg):
         axes = AxisTriple.coplanar(math.radians(spacing_deg))
-        explicit = run(resolve_config("quantum", None, {"axes": axes, "samples": 100}))
+        given = {axis.label: list(axis.direction) for axis in (axes.a, axes.b, axes.c)}
+        explicit = run(resolve_config("quantum", None, {"axes": given, "samples": 100}))
         spaced = run(
             resolve_config("quantum", None, {"axes_spacing_deg": spacing_deg, "samples": 100})
         )
@@ -1441,6 +1446,22 @@ class TestCommandLine:
         result = cli("entangle")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--samples", "x"], ["exact", "--seed", "1.5"], ["exact", "--workers", "x"],
+        ["exact", "--no-such-flag"], ["entangle"], [],
+    ])
+    def test_an_argv_argparse_rejects_exits_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bellstat: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        assert "commands:" in capsys.readouterr().out
+
     def test_unwritable_output_exits_3(self):
         result = cli(
             "exact", "--table", "1,1,1,1,1,1,1,1", "--out", "/nonexistent-dir/report.json"
@@ -1471,9 +1492,8 @@ class TestCommandLine:
 
     def test_a_reused_parser_leaks_nothing(self, tmp_path, capsys):
         assert build_parser() is build_parser()
-        with pytest.raises(SystemExit) as rejected:
-            main(["simulate", "--samples", "many"])
-        assert rejected.value.code == 2
+        assert main(["simulate", "--samples", "many"]) == 2
+        assert capsys.readouterr().err == "bellstat: argument --samples: invalid int value: 'many'\n"
         args = ["simulate", "--table", "2,1,1,1,1,1,1,1", "--samples", "3000"]
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         assert main([*args, "--seed", "5", "--workers", "3", "--out", str(first)]) == 0

@@ -24,6 +24,7 @@ from bellstat import (
     wigner_check,
     wigner_check_probabilities,
 )
+from bellstat.populations import TOL, holds
 
 # ---------------------------------------------------------------------------
 # Independent oracle: re-derive the population rows and outcome sets from
@@ -241,6 +242,33 @@ class TestWignerCheckProbabilities:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValidationError):
             wigner_check_probabilities(*bad)
+
+
+# Triples whose lhs - rhs lies within a few TOL of the tolerance itself.
+_NEAR_TOL = st.tuples(
+    st.floats(0.0, 0.45), st.floats(0.0, 0.45), st.floats(-3 * TOL, 3 * TOL)
+).map(lambda t: (t[0] + t[1] + t[2], t[0], t[1])).filter(lambda t: 0.0 <= t[0] <= 1.0)
+_TRIPLES = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)) | _NEAR_TOL
+
+
+class TestHolds:
+    """The one verdict agrees with every report's ``holds``."""
+
+    @given(_TRIPLES)
+    def test_agrees_with_the_report_on_scalars(self, triple):
+        report = wigner_check_probabilities(*triple)
+        assert holds(report.lhs, report.rhs) is report.holds
+
+    @given(st.lists(_TRIPLES, min_size=1, max_size=40))
+    def test_agrees_with_the_report_elementwise_on_arrays(self, triples):
+        reports = [wigner_check_probabilities(*t) for t in triples]
+        verdicts = holds(np.array([r.lhs for r in reports]), np.array([r.rhs for r in reports]))
+        assert verdicts.dtype == np.bool_
+        assert verdicts.tolist() == [r.holds for r in reports]
+
+    def test_tolerance_edge(self):
+        assert holds(TOL, 0.0)
+        assert not holds(math.nextafter(TOL, 1.0), 0.0)
 
 
 class TestAxes:
