@@ -14,9 +14,15 @@ The library has four pillars, one module each:
 
 The ``bellstat`` command line (:mod:`bellstat.cli`) orchestrates all four and
 emits machine-readable JSON/CSV reports.
+
+``import bellstat`` loads ``populations`` and ``entropy`` only.  ``reservoir``
+and ``quantum``, and numpy with them, load the first time one of their names
+is used; ``from bellstat import X`` works for every name in ``__all__``.
 """
 
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
+from typing import Any as _Any
 
 from .errors import BellstatError, ValidationError
 from .populations import (
@@ -58,30 +64,44 @@ from .entropy import (
     multiplicity_probability,
     product_inequality,
 )
-from .reservoir import (
-    CHUNK_SIZE,
-    DivergenceReport,
-    EmpiricalEstimate,
-    ReservoirSpec,
-    depletion_trajectory,
-    empirical_probability,
-    finite_vs_infinite_divergence,
-)
-from .quantum import (
-    ScanPoint,
-    SingletPrediction,
-    SingletSampleCounts,
-    WignerScan,
-    quantum_wigner_scan,
-    singlet_prediction,
-    singlet_prediction_statevector,
-    singlet_sample,
-)
+
+# The reservoir and quantum names, served on first use (PEP 562): those
+# modules import numpy, which the exact and entropy arithmetic never needs.
+# The one table of what loads lazily: bellstat.cli binds these names too.
+_LAZY = {
+    **dict.fromkeys((
+        "CHUNK_SIZE", "DivergenceReport", "EmpiricalEstimate", "ReservoirSpec",
+        "depletion_trajectory", "empirical_probability", "finite_vs_infinite_divergence",
+    ), "reservoir"),
+    **dict.fromkeys((
+        "ScanPoint", "SingletPrediction", "SingletSampleCounts", "WignerScan",
+        "quantum_wigner_scan", "singlet_prediction", "singlet_prediction_statevector",
+        "singlet_sample",
+    ), "quantum"),
+}
+
+
+def __getattr__(name: str) -> _Any:
+    """A :data:`_LAZY` name, or the ``reservoir`` or ``quantum`` module,
+    imported on first use."""
+    module = _LAZY.get(name, name)
+    if module not in ("reservoir", "quantum"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 
-# Every public name imported above; the submodules themselves are not exported.
+# Every public name imported above, then the lazy ones; the submodules
+# themselves are not exported.
 __all__ = [
     name for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-] + ["__version__"]
+] + [*_LAZY, "__version__"]

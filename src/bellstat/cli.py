@@ -83,7 +83,11 @@ join the same pieces into one string.
 Exit codes: 0 success, 2 validation error, argv the parser rejects included
 (only ``--help`` exits through argparse), 3 I/O error.  :func:`main` builds
 its parser once per process (:func:`build_parser` is cached) and reuses it on
-every later call.
+every later call.  numpy loads when a command that draws (``simulate``,
+``drain``, ``quantum``, ``counterexample``) first needs it, and
+:mod:`~bellstat.reservoir` and :mod:`~bellstat.quantum` with it for all but
+``counterexample``; so ``--help``, :func:`resolve_config`, an input error,
+``exact`` and ``entropy`` never import numpy.
 """
 
 from __future__ import annotations
@@ -91,21 +95,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import sys
 import time
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
+from importlib import import_module
 from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
-import numpy as np
-
-from . import __version__
+from . import _LAZY as _PACKAGE_LAZY, __version__
 from .errors import ValidationError
 from .populations import (
     Axis,
     AxisTriple,
+    EmpiricalEstimate,
     InequalityReport,
     PairOutcome,
     PopulationTable,
@@ -114,7 +119,7 @@ from .populations import (
     wigner_check,
     wigner_check_probabilities,
 )
-# Not called here: bench/spans.py wraps it by name, as it does sample below.
+# Not called here: bench/spans.py wraps it by name, as it does two names _load binds.
 from .populations import exact_probability  # noqa: F401
 from .entropy import (
     MultiplicityVector,
@@ -124,19 +129,15 @@ from .entropy import (
     multiplicity_inequality,
     product_inequality,
 )
-from .quantum import quantum_wigner_scan, singlet_prediction, singlet_sample
-from .reservoir import (
-    EmpiricalEstimate,
-    ReservoirSpec,
-    depletion_trajectory,
-    population_counts,
-)
-# Not called here: bench/spans.py wraps these two by name (see ROADMAP item 1).
-from .reservoir import empirical_probability, sample  # noqa: F401
 from .rng import validate_seed
 from .presets import PRESET_NAMES, load_preset
 
 SCHEMA_ID = "bellstat-report/1"
+
+#: The two reservoir functions outside the public API that :func:`_load`
+#: binds here, besides the package's lazy names.  No command calls
+#: ``empirical_probability`` or ``sample``: bench/spans.py wraps them by name.
+_RESERVOIR = ("population_counts", "sample")
 
 #: Upper bound on ``samples``: a sample budget of this size fits in memory.
 MAX_SAMPLES = 10**8
@@ -151,6 +152,24 @@ FLOAT_TEXTS_MIN = 1024
 
 #: Rows of a report table made into one string, and written as one piece.
 _BLOCK_ROWS = 1024
+
+
+def _load() -> None:
+    """Bind numpy as ``np``, the names the package serves on first use and
+    those of :data:`_RESERVOIR` as module globals, once."""
+    if "np" not in globals():
+        package, reservoir = sys.modules[__package__], import_module(".reservoir", __package__)
+        globals().update({name: getattr(package, name) for name in _PACKAGE_LAZY})
+        globals().update({name: getattr(reservoir, name) for name in _RESERVOIR})
+        globals()["np"] = import_module("numpy")
+
+
+def __getattr__(name: str) -> Any:
+    """A name :func:`_load` binds, bound on first use."""
+    if name != "np" and name not in _PACKAGE_LAZY and name not in _RESERVOIR:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load()
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -277,8 +296,9 @@ def _kind(column: Sequence[Any] | np.ndarray) -> str:
     for a bool array, and ``""`` for any other column (a list, or a
     non-finite or other array), whose values are written one by one through
     their texts, which raise the writer's own error."""
-    if not isinstance(column, np.ndarray):
+    if isinstance(column, list):
         return ""
+    _load()  # an array: numpy is loaded, so bind it here
     if column.dtype.kind in "iu":
         return "%d"
     if column.dtype == np.bool_:
@@ -293,7 +313,7 @@ def _value_columns(
     column's :func:`_kind` where it is one, else ``%s`` with the value
     ``texts``.  A list is one value column; an array gives one per array
     column."""
-    cells = np.atleast_2d(block.T).tolist() if isinstance(block, np.ndarray) else [block]
+    cells = [block] if isinstance(block, list) else np.atleast_2d(block.T).tolist()
     if kind in ("%d", "%.17g"):
         return [(kind, column) for column in cells]
     return [("%s", texts(column)) for column in cells]
@@ -590,6 +610,7 @@ COMMANDS["exact"] = Command(
 
 
 def _run_simulate(config: ExperimentConfig) -> dict:
+    _load()
     assert config.table is not None
     spec = ReservoirSpec(config.mode, config.table, config.seed)  # type: ignore[arg-type]
     counts = population_counts(spec, config.samples)
@@ -629,6 +650,7 @@ COMMANDS["simulate"] = Command(
 
 
 def _run_drain(config: ExperimentConfig) -> dict:
+    _load()
     assert config.table is not None
     spec = ReservoirSpec.finite(config.table, config.seed)
     if config.table.total > MAX_ROWS:
@@ -668,6 +690,7 @@ COMMANDS["drain"] = Command(
 
 
 def _run_quantum(config: ExperimentConfig) -> dict:
+    _load()
     axes = config.axes
     if axes is None:
         assert config.axes_spacing_deg is not None
@@ -777,6 +800,19 @@ COMMANDS["counterexample"] = Command(
 )
 
 
+@cache
+def _numpy_version() -> str:
+    """numpy's ``__version__``, taken from the ``numpy/version.py`` that
+    numpy takes it from, without importing numpy."""
+    from importlib.util import find_spec, module_from_spec, spec_from_file_location
+
+    folder = find_spec("numpy").submodule_search_locations[0]
+    spec = spec_from_file_location("numpy.version", os.path.join(folder, "version.py"))
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.__version__
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     """Execute one experiment.  ``workers`` is validated and echoed in
     ``meta``; it changes neither the results nor the work done."""
@@ -791,7 +827,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
         meta={
             "schema": SCHEMA_ID,
             "bellstat_version": __version__,
-            "numpy_version": np.__version__,
+            "numpy_version": _numpy_version(),
             "python_version": platform.python_version(),
             "duration_seconds": duration,
             "workers": workers,

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 from .populations import (
     TOL,
@@ -306,6 +304,8 @@ def find_multiplicity_counterexample(
     from the one stream in blocks of 1, 2, 4, ... up to 65,536 rows and
     tested in numpy; only those that do not plainly hold become objects.
     """
+    import numpy as np  # here, not at import: no other entropy function needs it
+
     if budget < 1:
         raise ValidationError(f"search budget must be >= 1, got {budget!r}")
     lo, hi = log10_range

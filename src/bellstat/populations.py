@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from .errors import ValidationError
 
@@ -307,6 +307,39 @@ class InequalityReport:
     terms: tuple[Term, ...]
     equal_multiplicity_precondition: bool | None = None
     note: str = ""
+
+
+@dataclass(frozen=True)
+class EmpiricalEstimate:
+    """Monte Carlo estimate of an outcome probability with its standard error."""
+
+    outcome: PairOutcome
+    p_hat: float
+    stderr: float
+    n: int
+
+    @classmethod
+    def from_hits(
+        cls, outcome: PairOutcome, hits: int, n: int, bag: int | None = None
+    ) -> "EmpiricalEstimate":
+        """``hits / n`` with the binomial standard error
+        ``sqrt(p_hat (1 - p_hat) / n)``, times ``sqrt((bag - n) / (bag - 1))``
+        for draws without replacement from a ``bag`` of that many pairs
+        (Cochran 1977, ch. 2): 0 once the whole bag is drawn."""
+        p_hat = hits / n
+        variance = p_hat * (1.0 - p_hat) / n
+        if bag is not None:
+            variance = variance * ((bag - n) / (bag - 1)) if bag > n else 0.0
+        return cls(outcome=outcome, p_hat=p_hat, stderr=math.sqrt(variance), n=n)
+
+    @classmethod
+    def from_counts(
+        cls, outcome: PairOutcome, counts: Sequence[int], bag: int | None = None
+    ) -> "EmpiricalEstimate":
+        """The estimate from the eight per-population draw counts: the hits
+        are the draws from ``outcome``'s populations, ``n`` all draws."""
+        hits = sum(int(counts[i - 1]) for i in outcome_populations(outcome))
+        return cls.from_hits(outcome, hits, sum(int(c) for c in counts), bag)
 
 
 def holds(lhs, rhs):

@@ -33,7 +33,7 @@ The Monte Carlo sampler (:func:`singlet_sample`) keeps its tallies as one
 ``(3, 3, 2, 2)`` count array, axis pair by sign pair, each pair's four sign
 counts taken by the reservoir's :func:`~bellstat.reservoir.threshold_counts`
 from its uniform draws, and its estimates use the same binomial estimator as
-the reservoir's, :meth:`~bellstat.reservoir.EmpiricalEstimate.from_hits`.  It
+the reservoir's, :meth:`~bellstat.populations.EmpiricalEstimate.from_hits`.  It
 draws its axis choices and each pair's uniforms in blocks of ``_BLOCK``
 values and adds up their counts, so no per-sample array outlives a block.
 """
@@ -54,11 +54,12 @@ from .populations import (
     Axis,
     AxisLabel,
     AxisTriple,
+    EmpiricalEstimate,
     PairOutcome,
     direction_angle,
     holds,
 )
-from .reservoir import EmpiricalEstimate, threshold_counts
+from .reservoir import threshold_counts
 from .rng import stream
 
 AxisChoicePolicy = Literal["uniform"] | tuple[AxisLabel, AxisLabel]

@@ -9,10 +9,12 @@ its draws depend only on the seed and the chunk index.
 from __future__ import annotations
 
 import operator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SEED_LIMIT = 2**64
 
@@ -31,4 +33,6 @@ def validate_seed(seed: int) -> int:
 
 def stream(seed: int, chunk: int = 0) -> np.random.Generator:
     """The Philox sub-stream ``chunk`` of master ``seed``."""
+    import numpy as np  # here, not at import: validate_seed needs no numpy
+
     return np.random.Generator(np.random.Philox(key=(chunk << 64) | validate_seed(seed)))
