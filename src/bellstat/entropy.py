@@ -31,7 +31,6 @@ from .populations import (
     PopulationTable,
     Term,
     _report,
-    holds,
     population_pair_partition,
 )
 from .rng import stream
@@ -41,9 +40,6 @@ from .rng import stream
 BOLTZMANN_SI = 1.380649e-23
 
 MultiplicityPolicy = Literal["equal", "proportional"]
-
-#: Largest block of vectors drawn at once by the counterexample search.
-_SEARCH_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -297,40 +293,26 @@ def find_multiplicity_counterexample(
 ) -> MultiplicityVector | None:
     """Random search for a vector violating the sum-form inequality.
 
-    Draws ``budget`` vectors with entries 10^u, u uniform over
-    ``log10_range``, and returns the first violator (None if the budget is
-    exhausted).  With a degenerate range (lo == hi) all entries are equal and
-    no violator exists.  Deterministic given ``seed``.  Vectors are drawn
-    from the one stream in blocks of 1, 2, 4, ... up to 65,536 rows and
-    tested in numpy; only those that do not plainly hold become objects.
+    Draws up to ``budget`` vectors with entries 10^u, u uniform over
+    ``log10_range``, and returns the first one that
+    :func:`multiplicity_inequality` finds violated (None if the budget is
+    exhausted).  Vector k (from 0) is uniforms 8k to 8k+7 of
+    ``stream(seed)``, so the result is deterministic given ``seed``; a
+    search that finds nothing draws its whole budget.  With a degenerate
+    range (lo == hi) all entries are equal and no violator exists.
     """
-    import numpy as np  # here, not at import: no other entropy function needs it
-
     if budget < 1:
         raise ValidationError(f"search budget must be >= 1, got {budget!r}")
     lo, hi = log10_range
     if hi < lo:
         raise ValidationError(f"log10_range must be ordered, got {log10_range!r}")
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"log10_range must be finite, got {log10_range!r}")
     rng = stream(seed)
-    drawn, size = 0, 1
-    while drawn < budget:
-        w = 10.0 ** rng.uniform(lo, hi, size=(min(size, budget - drawn), 8))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # multiplicity_inequality's sides and margin, in the same IEEE operations.
-            lhs = w[:, 2] * w[:, 3]
-            rhs = w[:, 1] * w[:, 3] + w[:, 2] * w[:, 6]
-            valid = ((w > 0) & np.isfinite(w)).all(axis=1) & np.isfinite(lhs) & np.isfinite(rhs)
-            held = valid & holds(lhs, rhs)
-        # Only the vectors that do not plainly hold become objects: each is
-        # checked by multiplicity_inequality, which returns the violator or
-        # raises the error an invalid vector raises.  The first vector is
-        # always checked, so a bad ``epsilon`` raises where it always did.
-        for i in range(len(w)) if drawn == 0 else np.flatnonzero(~held).tolist():
-            v = MultiplicityVector.from_iterable(w[i])
-            if not multiplicity_inequality(v, epsilon=epsilon).holds:
-                return v
-        drawn += len(w)
-        size = min(2 * size, _SEARCH_BLOCK)
+    for _ in range(budget):
+        v = MultiplicityVector.from_iterable(10.0 ** rng.uniform(lo, hi, size=8))
+        if not multiplicity_inequality(v, epsilon=epsilon).holds:
+            return v
     return None
 
 

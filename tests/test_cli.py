@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import struct
 import subprocess
@@ -352,6 +353,27 @@ class TestHardening:
         assert main(["exact", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot write output" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_pipe_exits_3_with_one_line(self, fmt):
+        """stdout is a pipe whose read end is closed before anything is read:
+        the report (over the 64 KiB a pipe holds) cannot be written."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bellstat", "drain",
+                 "--table", ",".join(["400"] * 8), "--format", fmt],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("bellstat: cannot write output:")
+        assert "Exception ignored" not in proc.stderr
 
     @pytest.mark.parametrize("geometry", [["--axes-spacing", "60"], "explicit axes"])
     def test_quantum_needs_a_sample_for_every_axis_pair(self, capsys, tmp_path, geometry):

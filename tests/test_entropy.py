@@ -367,7 +367,8 @@ class TestCounterexampleSearch:
 
 
 def reference_search(budget, seed=0, log10_range=(-1.0, 2.0), epsilon=0.05):
-    """The one-vector-at-a-time search that the blockwise search replaced."""
+    """The one-vector-at-a-time search, kept apart from the library's: the
+    search is this loop now, and any later faster search must match it."""
     lo, hi = log10_range
     rng = stream(seed)
     for _ in range(budget):
@@ -386,8 +387,11 @@ def outcome(search, *args, **kwargs):
 
 
 class TestBlockwiseSearch:
-    """The blockwise search returns the vector, or raises the error, that the
-    one-vector loop did: on 200 seeds, at budgets inside and across blocks."""
+    """The search returns the vector, or raises the error, that
+    ``reference_search`` does, on 200 seeds.  The search is that loop now;
+    these cases, chosen inside and across the blocks (1, 2, 4, ... 65,536
+    rows) of an earlier blockwise search, are what a re-optimised search
+    must match."""
 
     @pytest.mark.parametrize("budget, log10_range", [
         (1, (-1.0, 2.0)),
@@ -414,7 +418,7 @@ class TestBlockwiseSearch:
         {"log10_range": (-330.0, -300.0)},  # entries underflow to 0
         {"log10_range": (150.0, 320.0)},  # entries or products overflow
         {"log10_range": (-1.0, 330.0)},
-        {"log10_range": (-1e308, 1e308)},  # the range itself overflows
+        {"log10_range": (-1e308, 0.0)},  # the widest range let through: entries underflow to 0
         {"epsilon": -1.0},
         {"epsilon": -1.0, "log10_range": (0.0, 0.0)},  # raises though no vector violates
         {"epsilon": math.nan, "log10_range": (-400.0, -350.0)},
@@ -423,6 +427,17 @@ class TestBlockwiseSearch:
         for seed in range(200):
             expected = outcome(reference_search, 40, seed=seed, **kwargs)
             assert outcome(find_multiplicity_counterexample, 40, seed=seed, **kwargs) == expected
+
+    @pytest.mark.parametrize("log10_range", [
+        (-1e308, 1e308),  # hi - lo overflows
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (0.0, math.inf),
+        (-math.inf, 0.0),
+    ])
+    def test_non_finite_range_rejected(self, log10_range):
+        with pytest.raises(ValidationError, match="log10_range must be finite"):
+            find_multiplicity_counterexample(5, log10_range=log10_range)
 
 
 class TestEntropyRatios:
