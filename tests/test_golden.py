@@ -83,6 +83,19 @@ CASES = {
         "a597ab111387c31414e480487167e9633332cf0996e776e23d3529071056721e",
         "f85382092adb162e2889bdc2ab5a57beadaba0f9fc580c1ffb7f1f8abb1430a5",
     ),
+    # The table form of entropy: multiplicities from counts, a bool and an
+    # empty precondition cell in the CSV.
+    "entropy-proportional": (
+        ["entropy", "--table", "1,2,3,4,5,6,7,8", "--policy", "proportional"],
+        "8ab3521d15d3380caa88355b72072e493f94e1e6745646480908af9de3ed6f3f",
+        "b1d628af2a2e93babcab7bbebe13772f4ba2b25e3e1684e05485e291ebd9c895",
+    ),
+    # A search that finds nothing: ``"omegas": null`` and a header-only CSV.
+    "counterexample-none": (
+        ["counterexample", "--samples", "1", "--seed", "0"],
+        "ed5f7f557f79e64a2ee0e94eed9f21e843e806cecc3f2fc4b603878cd0d86ce7",
+        "aaa626f45c443d86504f6757e8d49c3619b8e6b10cc5fe8e0e983b0bb1fda271",
+    ),
     "quantum-explicit-axes": (
         ["quantum", "--config", EXPLICIT_AXES],
         "afe308ec69824592526c850e2c9f988907bfedc43eb0a994d62e8ffcd79b161c",
