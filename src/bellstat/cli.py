@@ -11,7 +11,7 @@ entropy         Multiplicity/entropy inequality checks on a vector.
 counterexample  Random search for a sum-form inequality violator.
 
 Each command is one :class:`Command` entry in :data:`COMMANDS` (help line,
-inputs, pipeline, CSV header and CSV columns); the parser, :func:`run` and
+inputs, pipeline, CSV header and CSV writer); the parser, :func:`run` and
 :func:`emit` all read that table.  Each value is checked once: its JSON type
 by ``_CONVERTERS``, its range by :class:`ExperimentConfig` or by the library
 step that reads it, so a bad flag or config value exits 2 with one line.
@@ -47,38 +47,36 @@ Reports have a stable top-level schema ``{config, results, meta}``
 duration and worker count live in ``meta`` only.  Floats are emitted with 17
 significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
 :func:`dumps_stable`, fills a cached template per dict shape, writing each value
-of an exact scalar type inline; only containers and subclasses recurse.  Report rows
-(scan points, drain steps) are handed over as a :class:`Columns` table, key ->
-column: a 1-D array of one number or bool per row, or a 2-D array of the
-rows' number lists.  Any other list, short lists of dicts included, is
-written value by value.  Each command's CSV is a list of such columns; only
-the few-row CSV tables of exact, simulate, entropy and counterexample are
-lists.  JSON
-rows and CSV lines share one block pass: each block of up to 1024 rows
-becomes one string through one row template.  One rule, told once per table
-column, says how a column's values become text (:func:`_kind`): ``%d`` for
-an integer array, ``%.17g`` for a finite float64 array, ``b`` for a bool
-array, and none for any other column, a list or a non-finite or other array,
-whose values are written one by one through their texts, which reject a NaN.
-A block of at least :data:`FLOAT_TEXTS_MIN` values whose columns all have a
-kind is one byte matrix, a row per block row: the template's literal bytes,
-and between them each value's text, padded, from :mod:`~bellstat.floattext`
-(``%.17g`` and ``%d`` computed exactly in numpy, so the bytes do not change);
-one ``translate`` deletes the pads.  Every other block is filled by one
-``%``, each column by its kind's piece or its value texts.
+of an exact scalar type inline; only containers and subclasses recurse.
+
+One rule says how rows are written: a report table is numpy arrays, and a
+record's CSV rows are joined cell by cell.  The long rows (scan points, drain
+steps) are a :class:`Columns` table, key -> column: a 1-D array of one number
+or bool per row, or a 2-D array of the rows' number lists; the CSV of drain
+and quantum is the same arrays (:func:`_csv_parts`).  The few CSV rows of
+exact, simulate, entropy and counterexample are joined cell by cell
+(:func:`_csv_rows`), as their JSON record is written value by value.  JSON
+rows and CSV lines of a table share one block pass: each block of up to 1024
+rows becomes one string through one row template.  Each table column's kind
+is told once (:func:`_kind`): ``%d`` for an integer array, ``%.17g`` for a
+finite float64 array, ``b`` for a bool array (``true``/``false`` in both
+formats); a column of no kind, a non-finite or other array, raises the
+writer's own error.  A block of at least :data:`FLOAT_TEXTS_MIN` values is one byte matrix, a
+row per block row: the template's literal bytes, and between them each
+value's text, padded, from :mod:`~bellstat.floattext` (``%.17g`` and ``%d``
+computed exactly in numpy, so the bytes do not change); one ``translate``
+deletes the pads.  Every other block is filled by one ``%``, each column by
+its kind's piece.
 
 :func:`main` writes the report while it is made, block by block, to stdout
 or the ``--out`` file, and never holds its whole text.  Everything but the
 :class:`Columns` tables (config, meta, every other result) is made first, as
-one text; each table's blocks of up to 1024 rows are then made and written
-one at a time.  Only a table longer than one block whose columns all have a
-kind is made so, lazily: telling a float64 column's kind took its one
-``np.isfinite(...).all()``, so none of its blocks can fail.  Any other
-table is made into text before the first byte is written, which raises the
-writer's own error.  So a report that fails exits 2 and writes nothing.
-Exit 3 (a failed write) can leave a partial stdout or ``--out`` file, as a
-failed write of the whole text could.  :func:`dumps_stable` and :func:`emit`
-join the same pieces into one string.
+one text, with each table's column kinds told; each table's blocks of up to
+1024 rows are then made and written one at a time, and none of them can
+fail.  So a report that fails exits 2 and writes nothing.  Exit 3 (a failed
+write) can leave a partial stdout or ``--out`` file, as a failed write of
+the whole text could.  :func:`dumps_stable` and :func:`emit` join the same
+pieces into one string.
 
 Exit codes: 0 success, 2 validation error, argv the parser rejects included
 (only ``--help`` exits through argparse), 3 I/O error.  :func:`main` builds
@@ -279,9 +277,7 @@ def _template(keys: tuple[str, ...], indent: int, pieces: tuple[str, ...] | None
     return "{\n" + items + "\n" + "  " * indent + "}"
 
 
-def _texts(
-    values: Sequence[Any], indent: int, tables: list[Iterator[str]] | None = None
-) -> list[str]:
+def _texts(values: Sequence[Any], indent: int, tables: list[Iterator[str]]) -> list[str]:
     """JSON texts of ``values`` at ``indent``: a value of an exact scalar type
     inline, any other through :func:`_text` with ``tables``."""
     return [
@@ -290,33 +286,32 @@ def _texts(
     ]
 
 
-def _kind(column: Sequence[Any] | np.ndarray) -> str:
+def _kind(column: np.ndarray) -> str:
     """How the values of one table column become text, told once per table:
-    ``%d`` for an integer array, ``%.17g`` for a finite float64 array, ``b``
-    for a bool array, and ``""`` for any other column (a list, or a
-    non-finite or other array), whose values are written one by one through
-    their texts, which raise the writer's own error."""
-    if isinstance(column, list):
-        return ""
-    _load()  # an array: numpy is loaded, so bind it here
-    if column.dtype.kind in "iu":
+    ``%d`` for an integer array, ``%.17g`` for a finite float64 array and
+    ``b`` for a bool array.  Any other column, a non-finite or other array,
+    has no kind and raises the writer's own error."""
+    _load()  # the column may come from a process that has run no command
+    dtype = column.dtype
+    if dtype.kind in "iu":
         return "%d"
-    if column.dtype == np.bool_:
+    if dtype == np.bool_:
         return "b"
-    return "%.17g" if column.dtype == np.float64 and np.isfinite(column).all() else ""
+    if dtype == np.float64 and np.isfinite(column).all():
+        return "%.17g"
+    if dtype == np.float64:  # raises, naming the first non-finite value
+        _format_float(column[~np.isfinite(column)][0].item())
+    raise ValidationError(f"cannot serialize {dtype} column")
 
 
-def _value_columns(
-    block: Sequence[Any] | np.ndarray, kind: str, texts: Callable[[Sequence[Any]], list[str]]
-) -> list[tuple[str, Sequence[Any]]]:
-    """Each value column of one column's block with its ``%`` piece: the
-    column's :func:`_kind` where it is one, else ``%s`` with the value
-    ``texts``.  A list is one value column; an array gives one per array
-    column."""
-    cells = [block] if isinstance(block, list) else np.atleast_2d(block.T).tolist()
-    if kind in ("%d", "%.17g"):
-        return [(kind, column) for column in cells]
-    return [("%s", texts(column)) for column in cells]
+def _value_columns(block: np.ndarray, kind: str) -> list[tuple[str, list[Any]]]:
+    """Each value column of one column's block with its ``%`` piece: one per
+    array column.  A number column's piece is its :func:`_kind`; a bool
+    column's is ``%s``, with ``true``/``false``, the same text in JSON and CSV."""
+    cells = np.atleast_2d(block.T).tolist()
+    if kind == "b":
+        return [("%s", list(map(_SCALARS[bool], column))) for column in cells]
+    return [(kind, column) for column in cells]
 
 
 def _matrix_text(
@@ -358,33 +353,29 @@ def _matrix_text(
 
 
 def _blocks(
-    columns: Sequence[Sequence[Any] | np.ndarray],
-    row: Callable[[list[list[str]]], str],
-    sep: str,
-    texts: Callable[[Sequence[Any]], list[str]],
+    columns: Sequence[np.ndarray], row: Callable[[list[list[str]]], str], sep: str
 ) -> Iterator[str]:
-    """Each block of up to :data:`_BLOCK_ROWS` rows of ``columns`` as one
-    string: ``row(pieces)``, the row template of each column's pieces, once per
-    row, joined by ``sep``.  Each column's :func:`_kind` is told once, here.
-    A block of at least :data:`FLOAT_TEXTS_MIN` values whose every kind is set
-    is one :func:`_matrix_text`; any other is filled by one ``%`` with the
-    value columns of :func:`_value_columns`.  A table of more than one block
-    whose every kind is set is made lazily, as it is read; any other is made
-    here, so writing its blocks cannot raise :class:`ValidationError`."""
-    kinds = list(map(_kind, columns))
-    plain, n = all(kinds), len(columns[0]) if columns else 0
+    """Each block of up to :data:`_BLOCK_ROWS` rows of the arrays ``columns``
+    as one string, made as it is read: ``row(pieces)``, the row template of
+    each column's pieces, once per row, joined by ``sep``.  Each column's
+    :func:`_kind` is told once, by this call, so a column that has none
+    raises :class:`ValidationError` here and no block can.  A block of at
+    least :data:`FLOAT_TEXTS_MIN` values is one :func:`_matrix_text`; any
+    other is filled by one ``%`` with the value columns of
+    :func:`_value_columns`."""
+    kinds, n = list(map(_kind, columns)), len(columns[0]) if columns else 0
 
     def made() -> Iterator[str]:
         for i in range(0, n, _BLOCK_ROWS):
             block = [column[i:i + _BLOCK_ROWS] for column in columns]
-            if plain and sum(map(np.size, block)) >= FLOAT_TEXTS_MIN:
+            if sum(map(np.size, block)) >= FLOAT_TEXTS_MIN:
                 yield _matrix_text(block, kinds, row, sep)
                 continue
-            pairs = [_value_columns(column, kind, texts) for column, kind in zip(block, kinds)]
+            pairs = [_value_columns(column, kind) for column, kind in zip(block, kinds)]
             values = [cells for column in pairs for _, cells in column]
             yield _fill(row([[piece for piece, _ in column] for column in pairs]), sep, values)
 
-    return made() if plain and n > _BLOCK_ROWS else iter(list(made()))
+    return made()
 
 
 def _fill(row: str, sep: str, values: Sequence[Sequence[Any]]) -> str:
@@ -396,9 +387,9 @@ def _fill(row: str, sep: str, values: Sequence[Sequence[Any]]) -> str:
 
 class Columns(dict):
     """Report rows held by column, ``key -> column``: a 1-D array (one number
-    or bool per row), a 2-D array (one fixed-length number list per row) or a
-    list (one value per row, written value by value).  :func:`dumps_stable`
-    writes it as the list of same-keyed objects it stands for."""
+    or bool per row) or a 2-D array (one fixed-length number list per row).
+    :func:`dumps_stable` writes it as the list of same-keyed objects it
+    stands for."""
 
 
 def _rows(columns: Columns, indent: int) -> Iterator[str]:
@@ -407,7 +398,7 @@ def _rows(columns: Columns, indent: int) -> Iterator[str]:
     keys = sorted(columns)
     names = tuple(map(str, keys))
     inner, close = "\n" + "  " * (indent + 2), "\n" + "  " * (indent + 1) + "]"
-    arrays = [getattr(columns[k], "ndim", 1) == 2 for k in keys]
+    arrays = [columns[k].ndim == 2 for k in keys]
 
     def row(pieces: list[list[str]]) -> str:
         return _template(names, indent, tuple(
@@ -415,8 +406,7 @@ def _rows(columns: Columns, indent: int) -> Iterator[str]:
             for array, column in zip(arrays, pieces)
         ))
 
-    return _blocks([columns[k] for k in keys], row, ",\n" + "  " * indent,
-                   lambda c: _texts(c, indent + 1))
+    return _blocks([columns[k] for k in keys], row, ",\n" + "  " * indent)
 
 
 def _bracketed(blocks: Iterator[str], indent: int) -> Iterator[str]:
@@ -430,19 +420,15 @@ def _bracketed(blocks: Iterator[str], indent: int) -> Iterator[str]:
     yield "[]" if lead[0] == "[" else "\n" + "  " * indent + "]"
 
 
-def _text(obj: Any, indent: int, tables: list[Iterator[str]] | None) -> str:
-    """The JSON text of ``obj`` at ``indent``.  Each :class:`Columns` is
-    handed to :func:`_rows` where it is met (:func:`_blocks` makes it there,
-    or lazily where no block can fail); with ``tables`` it stands in the text
-    as one ``"\\0"``, which no other JSON text holds, and its pieces are
-    appended to ``tables`` in text order.  Without, it is written inline."""
+def _text(obj: Any, indent: int, tables: list[Iterator[str]]) -> str:
+    """The JSON text of ``obj`` at ``indent``.  Each :class:`Columns` stands
+    in the text as one ``"\\0"``, which no other JSON text holds, and its
+    blocks from :func:`_rows`, whose column kinds are told here, are appended
+    to ``tables`` in text order."""
     if (to_text := _SCALARS.get(type(obj))) is not None:
         return to_text(obj)
     if isinstance(obj, Columns):
-        table = _bracketed(_rows(obj, indent + 1), indent)
-        if tables is None:
-            return "".join(table)
-        tables.append(table)
+        tables.append(_bracketed(_rows(obj, indent + 1), indent))
         return "\0"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -487,20 +473,21 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
-def _csv_parts(
-    header: Sequence[str], columns: Sequence[Sequence[Any] | np.ndarray]
-) -> Iterator[str]:
-    """The header line, then the rows of ``columns`` (each a list of cells, a
-    1-D array of one cell per row, or a 2-D array that fills one CSV column
-    per array column), each block as one string through one ``,``-joined row
-    template, made by the one rule of :func:`_blocks`.  Each block is
-    one piece, the header goes with the first; any :class:`ValidationError` is
-    raised by this call, as :func:`_blocks` makes a table with a column of no
-    :func:`_kind` at once."""
-    blocks = _blocks(
-        columns, lambda pieces: ",".join(chain.from_iterable(pieces)) + "\n", "",
-        lambda c: list(map(_csv_cell, c)),
-    )
+def _csv_rows(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterator[str]:
+    """The header line and a record's few rows, each cell through
+    :func:`_csv_cell` and joined by ``,``, as one piece: a record's CSV is
+    written cell by cell, as its JSON is written value by value.  Any
+    :class:`ValidationError` is raised by this call."""
+    return iter(["".join(",".join(map(_csv_cell, row)) + "\n" for row in (header, *rows))])
+
+
+def _csv_parts(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """The header line, then the rows of the arrays ``columns`` (a 1-D array
+    fills one CSV column, a 2-D array one per array column), each block as one
+    string through one ``,``-joined row template, made by the one rule of
+    :func:`_blocks`.  Each block is one piece, the header goes with the first;
+    any :class:`ValidationError` is raised by this call."""
+    blocks = _blocks(columns, lambda pieces: ",".join(chain.from_iterable(pieces)) + "\n", "")
     return chain([",".join(header) + "\n" + next(blocks, "")], blocks)
 
 
@@ -555,23 +542,20 @@ def _config_echo(config: ExperimentConfig) -> dict:
 @dataclass(frozen=True)
 class Command:
     """One CLI command: its help line, the config keys it reads, its pipeline
-    ``run(config)``, and the CSV header and the columns of CSV cells it emits
-    from its ``results``.  ``inputs`` holds one key set per way of running the
-    command; ``format`` and ``out`` go with every command."""
+    ``run(config)``, its CSV header, and ``csv(csv_header, results)``, the
+    pieces of its CSV: a record's few rows joined cell by cell
+    (:func:`_csv_rows`), or a table's numpy arrays (:func:`_csv_parts`).
+    ``inputs`` holds one key set per way of running the command; ``format``
+    and ``out`` go with every command."""
 
     help: str
     inputs: tuple[set[str], ...]
     run: Callable[[ExperimentConfig], dict]
     csv_header: tuple[str, ...]
-    csv_columns: Callable[[dict], list[Sequence[Any] | np.ndarray]]
+    csv: Callable[[tuple[str, ...], dict], Iterator[str]]
 
 
 COMMANDS: dict[str, Command] = {}
-
-
-def _transposed(rows: Iterable[Sequence[Any]]) -> list[list[Any]]:
-    """The CSV columns of a few equal-length rows."""
-    return [list(column) for column in zip(*rows, strict=True)]
 
 
 def _run_exact(config: ExperimentConfig) -> dict:
@@ -597,7 +581,7 @@ COMMANDS["exact"] = Command(
     csv_header=(
         "term", *_OUTCOME_COLUMNS, "populations", "numerator", "denominator", "probability",
     ),
-    csv_columns=lambda results: _transposed(
+    csv=lambda header, results: _csv_rows(header, (
         [
             t["label"],
             *(t["outcome"][k] for k in _OUTCOME_COLUMNS),
@@ -605,7 +589,7 @@ COMMANDS["exact"] = Command(
             t["numerator"], t["denominator"], t["value"],
         ]
         for t in results["wigner"]["terms"]
-    ),
+    )),
 )
 
 
@@ -638,14 +622,14 @@ COMMANDS["simulate"] = Command(
     inputs=({"table", "mode", "samples", "seed"},),
     run=_run_simulate,
     csv_header=("outcome", *_OUTCOME_COLUMNS, "p_hat", "stderr", "n", "reference"),
-    csv_columns=lambda results: _transposed(
+    csv=lambda header, results: _csv_rows(header, (
         [
             e["outcome"]["label"],
             *(e["outcome"][k] for k in _OUTCOME_COLUMNS),
             e["p_hat"], e["stderr"], e["n"], e["reference"],
         ]
         for e in results["estimates"]
-    ),
+    )),
 )
 
 
@@ -682,10 +666,10 @@ COMMANDS["drain"] = Command(
         *(f"p{i}" for i in range(1, 9)),
         *(f"remaining{i}" for i in range(1, 9)),
     ),
-    csv_columns=lambda results: [
+    csv=lambda header, results: _csv_parts(header, [
         results["steps"][k]
         for k in ("step", "population", "conditional_probabilities", "remaining")
-    ],
+    ]),
 )
 
 
@@ -735,9 +719,9 @@ COMMANDS["quantum"] = Command(
     inputs=({"axes_spacing_deg", "steps", "samples", "seed"}, {"axes", "samples", "seed"}),
     run=_run_quantum,
     csv_header=("theta", "lhs", "rhs", "violated"),
-    csv_columns=lambda results: [
+    csv=lambda header, results: _csv_parts(header, [
         results["scan"][k] for k in ("theta_deg", "lhs", "rhs", "violated")
-    ],
+    ]),
 )
 
 
@@ -764,14 +748,14 @@ COMMANDS["entropy"] = Command(
     inputs=({"omegas", "epsilon"}, {"table", "policy", "epsilon"}),
     run=_run_entropy,
     csv_header=("inequality", "lhs", "rhs", "margin", "holds", "equal_multiplicity_precondition"),
-    csv_columns=lambda results: _transposed(
+    csv=lambda header, results: _csv_rows(header, (
         [
             name,
             *(results[name][k] for k in ("lhs", "rhs", "margin", "holds")),
             results[name].get("equal_multiplicity_precondition", ""),
         ]
         for name in ("multiplicity_inequality", "product_inequality", "entropy_inequality")
-    ),
+    )),
 )
 
 
@@ -794,7 +778,7 @@ COMMANDS["counterexample"] = Command(
     inputs=({"samples", "seed", "epsilon"},),
     run=_run_counterexample,
     csv_header=("found", *(f"omega{i}" for i in range(1, 9)), "lhs", "rhs", "margin"),
-    csv_columns=lambda results: _transposed([
+    csv=lambda header, results: _csv_rows(header, [
         [True, *results["omegas"], *(results["report"][k] for k in ("lhs", "rhs", "margin"))]
     ] if results["found"] else []),
 )
@@ -843,7 +827,7 @@ def _report_parts(report: RunReport, fmt: str) -> Iterator[str]:
         return _parts(report.document(), end="\n")
     if fmt == "csv":
         command = COMMANDS[report.config["command"]]
-        return _csv_parts(command.csv_header, command.csv_columns(report.results))
+        return command.csv(command.csv_header, report.results)
     raise ValidationError(f"unknown format {fmt!r}")
 
 

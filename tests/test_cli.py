@@ -27,6 +27,7 @@ from bellstat.cli import (
     Command,
     RunReport,
     _csv_parts,
+    _csv_rows,
     _matrix_text,
     _parts,
     build_parser,
@@ -761,7 +762,7 @@ class TestEmission:
             config={"command": "drain"},
             results={
                 "steps": Columns(
-                    step=[], population=[],
+                    step=np.empty(0, np.int64), population=np.empty(0, np.int64),
                     conditional_probabilities=np.empty((0, 8)),
                     remaining=np.empty((0, 8), dtype=np.int64),
                 ),
@@ -952,7 +953,7 @@ class TestStableWriter:
     def test_non_finite_result_exits_2(self, monkeypatch, capsys, results):
         fake = Command(
             help="", inputs=COMMANDS["exact"].inputs, run=lambda config: results,
-            csv_header=(), csv_columns=list,
+            csv_header=(), csv=_csv_rows,
         )
         monkeypatch.setitem(COMMANDS, "exact", fake)
         assert main(["exact", "--config", "wigner-uniform"]) == 2
@@ -1033,10 +1034,10 @@ class TestStableWriter:
         fake = Command(
             help="", inputs=COMMANDS["exact"].inputs,
             run=lambda config: {"steps": steps}, csv_header=("step",),
-            csv_columns=lambda results: [
-                [s["step"] for s in results["steps"]],
+            csv=lambda header, results: _csv_parts(header, [
+                np.array([s["step"] for s in results["steps"]]),
                 np.array([s["conditional_probabilities"] for s in results["steps"]]),
-            ],
+            ]),
         )
         monkeypatch.setitem(COMMANDS, "exact", fake)
         for fmt in ("json", "csv"):
@@ -1065,43 +1066,47 @@ _ODD_CELLS = [True, False, np.float64(0.1), _Int(7), "x", "", None, 2.5, 3, -0.0
 
 @st.composite
 def _csv_tables(draw):
-    """A header and rows whose columns are floats, ints or bools, with a few
-    cells replaced by a value of another type; up to two blocks of rows."""
+    """A header and a record's few rows whose columns are floats, ints or
+    bools, with a few cells replaced by a value of another type or, now and
+    then, a non-finite number."""
     kinds = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1, max_size=6))
-    n = draw(
-        st.integers(0, 20) | st.sampled_from([FLOAT_TEXTS_MIN - 1, FLOAT_TEXTS_MIN])
-        | st.integers(1020, 2100)
-    )
+    n = draw(st.integers(0, 20))
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows = [[_VALUES[kind](rng) for kind in kinds] for _ in range(n)]
     for _ in range(draw(st.integers(0, 3)) if n else 0):
         row = rows[draw(st.integers(0, n - 1))]
-        row[draw(st.integers(0, len(kinds) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        odd = draw(st.sampled_from(_ODD_CELLS) | st.sampled_from(_NON_FINITE))
+        row[draw(st.integers(0, len(kinds) - 1))] = odd
     return [f"c{i}" for i in range(len(kinds))], rows
 
 
-def _columns_of(rows):
-    """The columns of equal-length CSV rows."""
-    return [list(column) for column in zip(*rows)]
-
-
 class TestCsvWriter:
+    """A record's CSV rows are joined cell by cell, as the per-cell writer
+    joined them, and in one piece."""
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(table=_csv_tables())
     def test_matches_the_per_cell_writer(self, table):
         header, rows = table
-        assert "".join(_csv_parts(header, _columns_of(rows))) == reference_csv(header, rows)
+        try:
+            expected = reference_csv(header, rows)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                _csv_rows(header, rows)
+            assert str(raised.value) == str(exc)
+        else:
+            assert list(_csv_rows(header, rows)) == [expected]
 
     @pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
     def test_non_finite_numbers_rejected(self, value):
         rows = [[1, 0.5, True]] * 1500
         rows[1200] = [2, value, False]
         with pytest.raises(ValidationError, match="non-finite"):
-            "".join(_csv_parts(("a", "b", "c"), _columns_of(rows)))
+            _csv_rows(("a", "b", "c"), rows)
 
 
 _COLUMN_KINDS = (
-    "float", "fast float", "int", "bool", "float array", "fast float array", "int array",
+    "float array", "fast float array", "int array",
     "1-D float array", "1-D fast float array", "1-D int array", "1-D bool array",
     "uint64 array", "small int array", "edge float array",
 )
@@ -1131,9 +1136,9 @@ def _int64(rng):
 
 @st.composite
 def _column_tables(draw, sizes):
-    """A :class:`Columns` table with list columns of floats, ints or bools,
-    1-D float64, int64 and bool array columns, and 2-D float64, int64 and
-    uint64 array columns, like the drain's and the scan's.  The "fast float"
+    """A :class:`Columns` table with 1-D float64, int64 and bool array
+    columns, and 2-D float64, int64 and uint64 array columns, like the drain's
+    and the scan's.  The "fast float"
     kinds hold values that ``float_texts`` writes in numpy; the "edge float"
     kind mixes them with zeros, subnormals and the ends of that range."""
     n = draw(sizes)
@@ -1146,18 +1151,16 @@ def _column_tables(draw, sizes):
             value, dtype = _ARRAY_KINDS[kind]
             return np.array([[value(rng) for _ in range(width)] for _ in range(n)], dtype=dtype)
         name = kind.removeprefix("1-D ").removesuffix(" array")
-        value = _int64 if name == "int" and kind != name else _VALUES[name]
+        value = _int64 if name == "int" else _VALUES[name]
         if kind.startswith("1-D "):
             return np.array([value(rng) for _ in range(n)])
-        if kind.endswith(" array"):
-            return np.array([[value(rng) for _ in range(width)] for _ in range(n)])
-        return [value(rng) for _ in range(n)]
+        return np.array([[value(rng) for _ in range(width)] for _ in range(n)])
     return Columns((key, column(kind)) for key, kind in zip(keys, kinds))
 
 
 def _rows_of(columns):
     """The row dicts and the CSV rows that a column table stands for."""
-    lists = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in columns.items()}
+    lists = {k: c.tolist() for k, c in columns.items()}
     n = len(next(iter(lists.values())))
     dicts = [{k: c[i] for k, c in lists.items()} for i in range(n)]
     csv_rows = [
@@ -1189,7 +1192,7 @@ class TestColumnTable:
     def test_streamed_pieces_join_to_the_text_one_block_each(self):
         rng = random.Random(5)
         columns = Columns(
-            step=list(range(1, 3001)),
+            step=np.arange(1, 3001),
             p=np.array([[_fast_float(rng) for _ in range(3)] for _ in range(3000)]),
         )
         dicts, csv_rows = _rows_of(columns)
@@ -1204,14 +1207,10 @@ class TestColumnTable:
         assert [piece.count("\n") for piece in lines] == [1025, 1024, 952]
 
     def test_no_rows_is_an_empty_list(self):
-        empty = Columns(a=[], b=np.empty((0, 3)))
+        empty = Columns(a=np.empty(0), b=np.empty((0, 3)))
         assert dumps_stable(empty) == "[]"
         assert dumps_stable({"a": empty}) == '{\n  "a": []\n}'
         assert "".join(_csv_parts(("a",), list(empty.values()))) == "a\n"
-
-    def test_numpy_scalars_in_a_list_column_are_rejected(self):
-        with pytest.raises(ValidationError, match="cannot serialize int64"):
-            dumps_stable(Columns(a=[1, np.int64(2)]))
 
     def test_non_finite_in_an_array_column_of_a_late_block(self, monkeypatch, capsys):
         probabilities = np.full((2000, 8), 0.125)
@@ -1224,13 +1223,13 @@ class TestColumnTable:
         theta = np.full(2000, 0.25)
         theta[1499] = math.nan
         for column in (probabilities, fast, theta):
-            steps = Columns(step=list(range(1, len(column) + 1)), conditional_probabilities=column)
+            steps = Columns(step=np.arange(1, len(column) + 1), conditional_probabilities=column)
             with pytest.raises(ValidationError, match="non-finite"):
                 dumps_stable({"steps": steps})
             fake = Command(
                 help="", inputs=COMMANDS["exact"].inputs,
                 run=lambda config: {"steps": steps}, csv_header=("step",),
-                csv_columns=lambda results: list(results["steps"].values()),
+                csv=lambda header, results: _csv_parts(header, list(results["steps"].values())),
             )
             monkeypatch.setitem(COMMANDS, "exact", fake)
             for fmt in ("json", "csv"):
@@ -1249,14 +1248,14 @@ class TestByteMatrix:
         rng = random.Random(n)
         return Columns(
             {self.KEY: np.array([[_fast_float(rng) for _ in range(8)] for _ in range(n)])},
-            step=np.arange(1, n + 1), flag=[i % 3 == 0 for i in range(n)], **extra,
+            step=np.arange(1, n + 1), flag=np.arange(n) % 3 == 0, **extra,
         )
 
     # Ten values a row: FLOAT_TEXTS_MIN // 10 rows are below FLOAT_TEXTS_MIN
     # values, one row more is not.
     @pytest.mark.parametrize("n", [1, FLOAT_TEXTS_MIN // 10, FLOAT_TEXTS_MIN // 10 + 1, 1025])
     def test_a_key_with_percent_signs_and_non_ascii_text(self, n):
-        for columns in (self.table(n), self.table(n, q=[0.5] * n)):
+        for columns in (self.table(n), self.table(n, q=np.full(n, 0.5))):
             dicts, csv_rows = _rows_of(columns)
             assert dumps_stable({"rows": columns}, 1) == reference_dumps({"rows": dicts}, 1)
             header = [f"c{i}" for i in range(len(csv_rows[0]))]
@@ -1280,11 +1279,10 @@ class TestByteMatrix:
         assert taken(numbers)
         assert taken([numbers[0], np.ones(n, bool)])
         assert not taken([column[:-1] for column in numbers])  # too few
-        for other in ([0.5] * n, [1] * n, [True] * n, np.ones(n, np.float32)):
-            assert not taken([numbers[0], other])
         sent.clear()
-        with pytest.raises(ValidationError, match="non-finite"):
-            _csv_parts(("a", "b"), [numbers[0], np.full(n, np.nan)])
+        for other in (np.full(n, np.nan), np.ones(n, np.float32), np.ones(n, object)):
+            with pytest.raises(ValidationError, match="cannot serialize"):
+                _csv_parts(("a", "b"), [numbers[0], other])
         assert sent == []
 
 
@@ -1302,18 +1300,18 @@ class _Pieces(io.StringIO):
 
 def _fake_exact(monkeypatch, results, csv_columns):
     """Make ``exact`` (run with ``--config wigner-uniform``) report ``results``
-    and write ``csv_columns`` as its CSV rows."""
+    and write the arrays ``csv_columns`` as its CSV rows."""
     fake = Command(
         help="", inputs=COMMANDS["exact"].inputs, run=lambda config: results,
         csv_header=tuple(f"c{i}" for i in range(len(csv_columns))),
-        csv_columns=lambda results: csv_columns,
+        csv=lambda header, results: _csv_parts(header, csv_columns),
     )
     monkeypatch.setitem(COMMANDS, "exact", fake)
 
 
 def _late(value, n=2000, at=1500):
-    """A list column of ``n`` halves with ``value`` in row ``at``, in the second block."""
-    column = [0.5] * n
+    """A float64 column of ``n`` halves with ``value`` in row ``at``, in the second block."""
+    column = np.full(n, 0.5)
     column[at] = value
     return column
 
@@ -1324,17 +1322,25 @@ class TestStreamedReport:
 
     STEPS = Columns(step=np.arange(1, 2001), p=np.full((2000, 3), 0.25))
 
-    # name -> (results, CSV columns).  CSV writes every value but a
-    # non-finite float with str, so its unwritable value is a numpy inf.
+    # name -> (results, CSV columns).  A CSV column is an array, so the
+    # CSV of a value after the table is a column of no kind.
     FAILING = {
         "nan after the table": (
-            {"steps": STEPS, "z": math.nan}, [*STEPS.values(), [math.nan] * 2000],
-        ),
-        "nan in a late block of a list column": (
-            {"steps": Columns(STEPS, q=_late(math.nan))}, [*STEPS.values(), _late(math.nan)],
+            {"steps": STEPS, "z": math.nan}, [*STEPS.values(), _late(math.nan)],
         ),
         "unserializable value after the table": (
-            {"steps": STEPS, "z": object()}, [*STEPS.values(), _late(np.float64(-math.inf))],
+            {"steps": STEPS, "z": object()}, [*STEPS.values(), np.ones(2000, object)],
+        ),
+        "float32 column": (
+            {"steps": Columns(STEPS, q=np.full(2000, 0.5, np.float32))},
+            [*STEPS.values(), np.full(2000, 0.5, np.float32)],
+        ),
+        "object column": (
+            {"steps": Columns(STEPS, q=np.full(2000, 0.5, object))},
+            [*STEPS.values(), np.full(2000, 0.5, object)],
+        ),
+        "late nan in a float64 column": (
+            {"steps": Columns(STEPS, q=_late(math.nan))}, [*STEPS.values(), _late(math.nan)],
         ),
     }
 

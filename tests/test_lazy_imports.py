@@ -198,8 +198,8 @@ def test_a_wrapper_set_on_cli_is_what_the_command_calls(name, monkeypatch, tmp_p
 
 def test_the_writer_works_before_any_command_runs(tmp_path):
     """dumps_stable of parsed drain and quantum reports and of a table of
-    arrays, and the exact CSV from list columns, in a process that has run
-    no command."""
+    arrays, and the exact CSV from its rows, in a process that has run no
+    command."""
     reports = []
     for name, argv, fmt in (("drain", DRAIN, "json"), ("quantum", quantum_argv(tmp_path), "json"),
                             ("exact", ["exact", "--table", "1,2,3,4,5,6,7,8"], "json"),
@@ -217,11 +217,11 @@ def test_the_writer_works_before_any_command_runs(tmp_path):
         for text in (drain, quantum, exact):
             assert dumps_stable(json.loads(text)) + "\\n" == text
         command = COMMANDS["exact"]
-        columns = command.csv_columns(json.loads(exact)["results"])
-        assert "".join(_csv_parts(command.csv_header, columns)) == exact_csv
+        assert "".join(command.csv(command.csv_header, json.loads(exact)["results"])) == exact_csv
         import numpy as np
         from bellstat.cli import Columns
         table = Columns(n=np.arange(3), x=np.array([0.5, 1.5, 2.5]))
         rows = [{"n": n, "x": n + 0.5} for n in range(3)]
         assert dumps_stable({"t": table}) == dumps_stable({"t": rows})
+        assert "".join(_csv_parts(("n", "x"), list(table.values()))) == "n,x\\n0,0.5\\n1,1.5\\n2,2.5\\n"
     """, *reports)
