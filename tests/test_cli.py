@@ -953,7 +953,7 @@ class TestStableWriter:
     def test_non_finite_result_exits_2(self, monkeypatch, capsys, results):
         fake = Command(
             help="", inputs=COMMANDS["exact"].inputs, run=lambda config: results,
-            csv_header=(), csv=_csv_rows,
+            csv_header=(), csv=COMMANDS["exact"].csv,
         )
         monkeypatch.setitem(COMMANDS, "exact", fake)
         assert main(["exact", "--config", "wigner-uniform"]) == 2
@@ -1138,9 +1138,9 @@ def _int64(rng):
 def _column_tables(draw, sizes):
     """A :class:`Columns` table with 1-D float64, int64 and bool array
     columns, and 2-D float64, int64 and uint64 array columns, like the drain's
-    and the scan's.  The "fast float"
-    kinds hold values that ``float_texts`` writes in numpy; the "edge float"
-    kind mixes them with zeros, subnormals and the ends of that range."""
+    and the scan's.  The "fast float" kinds hold values that ``float_texts``
+    writes in numpy; the "edge float" kind mixes them with zeros, subnormals
+    and the ends of that range."""
     n = draw(sizes)
     width = draw(st.integers(1, 9))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -1329,7 +1329,7 @@ class TestStreamedReport:
             {"steps": STEPS, "z": math.nan}, [*STEPS.values(), _late(math.nan)],
         ),
         "unserializable value after the table": (
-            {"steps": STEPS, "z": object()}, [*STEPS.values(), np.ones(2000, object)],
+            {"steps": STEPS, "z": object()}, [*STEPS.values(), _late(-math.inf)],
         ),
         "float32 column": (
             {"steps": Columns(STEPS, q=np.full(2000, 0.5, np.float32))},
