@@ -94,9 +94,10 @@ class AxisTriple:
     @classmethod
     def coplanar(cls, spacing: float) -> "AxisTriple":
         """Coplanar triple with a-c and c-b angles both ``spacing`` (radians), the
-        symmetric configuration of inequality scans: see :func:`coplanar_directions`."""
-        a, b, c = coplanar_directions(spacing)
-        return cls(a=Axis("a", a), b=Axis("b", b), c=Axis("c", c))
+        symmetric configuration of inequality scans: directions (sin t, 0, cos t)
+        of a, b and c at t = 0, ``2 * spacing`` and ``spacing``."""
+        directions = [(math.sin(t), 0.0, math.cos(t)) for t in (0.0, 2.0 * spacing, spacing)]
+        return cls(*map(Axis, AXIS_LABELS, directions))
 
     def axis(self, label: AxisLabel) -> Axis:
         if label not in AXIS_LABELS:
@@ -105,12 +106,6 @@ class AxisTriple:
 
     def angle(self, label1: AxisLabel, label2: AxisLabel) -> float:
         return angle_between(self.axis(label1), self.axis(label2))
-
-
-def coplanar_directions(spacing: float) -> tuple[tuple[float, float, float], ...]:
-    """Directions (sin t, 0, cos t) of a, b, c at t = 0, ``2 * spacing``, ``spacing``."""
-    b, c = 2.0 * spacing, spacing
-    return (0.0, 0.0, 1.0), (math.sin(b), 0.0, math.cos(b)), (math.sin(c), 0.0, math.cos(c))
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,11 @@ E_ab = cos(2 theta), they break the facet 1 + E_ab + E_ac + E_cb >= 0, whose
 left side is 2 cos(theta) (1 + cos(theta)) < 0 there (Fine, PRL 48, 291
 (1982)).
 
-One float kernel, on plain direction tuples and with ``math`` only, is
-:func:`singlet_prediction`.  :func:`quantum_wigner_scan` gives the same
-values bit for bit, computed over whole columns of steps, a block at a time,
-into the four arrays of a :class:`WignerScan`.  The correctly rounded
-operations (``*``, ``+``, ``-``, ``/``, ``sqrt``) run as numpy array
-operations, which round as Python does.  sin, cos, atan2 and the square
-``** 2`` stay libm's own calls, made element by element through ``math`` and
-the builtin ``pow``: numpy's ufuncs can differ from libm in the last bit,
-and libm's pow(x, 2) is not always x*x.  A brute-force oracle,
+The float kernel is one formula in ``math`` only, P(+u; +v) =
+(1/2) sin^2(angle / 2): :func:`singlet_prediction` takes it at the angle
+between two axes, and :func:`quantum_wigner_scan` at a coplanar step's
+nominal angles, a block of steps at a time, into the four arrays of a
+:class:`WignerScan`.  A brute-force oracle,
 :func:`singlet_prediction_statevector`, evaluates projector expectation values
 on the explicit 4-component singlet state; the tests hold the two within 1e-12.
 
@@ -43,7 +39,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -102,11 +97,16 @@ class SingletPrediction:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
 
+def _same_sign(angle: float) -> float:
+    """P(+u; +v) = (1/2) sin^2(angle / 2) for axes ``angle`` radians apart."""
+    return 0.5 * math.sin(angle / 2.0) ** 2
+
+
 def singlet_prediction(axis1: Axis, axis2: Axis) -> SingletPrediction:
     """Singlet joint probabilities for Alice along axis1, Bob along axis2:
-    the float kernel on the axes' unit direction tuples."""
+    the float kernel at the angle between the axes' unit direction tuples."""
     theta = direction_angle(axis1.direction, axis2.direction)
-    same, diff = 0.5 * math.sin(theta / 2.0) ** 2, 0.5 * math.cos(theta / 2.0) ** 2
+    same, diff = _same_sign(theta), 0.5 * math.cos(theta / 2.0) ** 2
     return SingletPrediction(p_pp=same, p_pm=diff, p_mp=diff, p_mm=same)
 
 
@@ -169,11 +169,11 @@ class WignerScan:
         return map(ScanPoint, *(column.tolist() for column in columns))
 
 
-def _libm(f: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """``f`` over float64 columns, element by element, as a float64 array.
-    Each value is a call of the Python function ``f``, so a ``math``
-    function gives libm's result bit for bit, where its numpy ufunc may not."""
-    return np.fromiter(map(f, *map(memoryview, columns)), float, len(columns[0]))
+def _libm(f: Callable[[float], float], column: np.ndarray) -> np.ndarray:
+    """``f`` over a float64 column, element by element, as a float64 array.
+    Each value is a call of the Python function ``f``, so ``math`` functions
+    in it give libm's results bit for bit, where numpy's ufuncs may not."""
+    return np.fromiter(map(f, memoryview(column)), float, len(column))
 
 
 def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
@@ -191,19 +191,12 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     ``violated`` checks that one facet only; for theta in (pi/2, pi) the
     singlet numbers break another (see the module docstring).
 
-    The values are bit for bit those of :func:`singlet_prediction`'s float
-    kernel on :func:`~bellstat.populations.coplanar_directions`, computed a
-    block of ``_SCAN_BLOCK`` steps at a time into arrays allocated once.  theta is
-    ``arange(1, steps + 1) * spacing / steps``, the same two roundings as
-    ``spacing * k / steps``.  With a = (0, 0, 1), b = (sin 2t, 0, cos 2t) and
-    c = (sin t, 0, cos t), the zero terms of
-    :func:`~bellstat.populations.direction_angle` drop out exactly: the angle
-    from a to (s, 0, c) is atan2(sqrt(s*s), c), and from c to b it is
-    atan2(sqrt(cy*cy), s1*s2 + c1*c2) with cy = c1*s2 - s1*c2.  numpy runs
-    those correctly rounded operations on whole columns; sin, cos, atan2 and
-    ``** 2`` go through :func:`_libm`.  The square stays libm's pow, not
-    x*x: with glibc 2.36 the two differ for 50 of the 60,000 squares of a
-    179-degree scan of 20,000 steps.
+    Each step is :func:`singlet_prediction`'s formula f(angle) =
+    (1/2) sin^2(angle / 2) at the step's nominal angles: lhs = f(2 theta) and
+    rhs = f(theta) + f(theta).  theta is ``arange(1, steps + 1) * spacing / steps``,
+    the same two roundings as ``spacing * k / steps``, filled ``_SCAN_BLOCK``
+    steps at a time.  f runs through :func:`_libm`, so its sin and its square
+    stay libm's: numpy's ufuncs may differ in the last bit, as may x*x from pow.
     """
     if not 0.0 < spacing < math.pi:
         raise ValidationError(f"spacing must be in (0, pi), got {spacing!r}")
@@ -216,22 +209,9 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     for start in range(0, steps, _SCAN_BLOCK):
         stop = min(start + _SCAN_BLOCK, steps)
         theta = scan.theta[start:stop] = np.arange(start + 1, stop + 1) * spacing / steps
-        n, double = len(theta), 2.0 * theta
-        s1, c1 = _libm(math.sin, theta), _libm(math.cos, theta)
-        s2, c2 = _libm(math.sin, double), _libm(math.cos, double)
-        cy = c1 * s2 - s1 * c2
-        # The angles of (a, b), (a, c) and (c, b), one column after another.
-        angles = _libm(
-            math.atan2,
-            np.sqrt(np.concatenate((s2 * s2, s1 * s1, cy * cy))),
-            np.concatenate((c2, c1, s1 * s2 + c1 * c2)),
-        )
-        # The kernel's P(+u;+v) = (1/2) sin^2(angle / 2) per pair.
-        sines = map(math.sin, memoryview(angles / 2.0))
-        p = 0.5 * np.fromiter(map(pow, sines, repeat(2)), float, 3 * n)
-        lhs, ac, cb = p.reshape(3, n)
-        scan.lhs[start:stop] = lhs
-        rhs = np.add(ac, cb, out=scan.rhs[start:stop])
+        lhs = scan.lhs[start:stop] = _libm(_same_sign, 2.0 * theta)
+        half = _libm(_same_sign, theta)
+        rhs = np.add(half, half, out=scan.rhs[start:stop])
         np.logical_not(holds(lhs, rhs), out=scan.violated[start:stop])
     return scan
 
