@@ -1399,14 +1399,15 @@ def sha256(text):
 
 class TestLargeReportBytes:
     """SHA-256 of the ``config``+``results`` JSON (``meta`` dropped) and of
-    the CSV of two large reports, taken from the per-step scan and the
-    recursive writer that the float kernel and the template writer replaced."""
+    the CSV of two large reports.  The drain's were taken from the recursive
+    writer that the template writer replaced; the quantum report's from the
+    scan that evaluates the singlet formula at each step's nominal angles."""
 
     CASES = {
         "quantum-20000-steps": (
             "quantum", {"axes_spacing_deg": 179, "steps": 20_000, "samples": 10_000, "seed": 3},
-            "28752d0d5d383cd450b0aca9a388f68aff950d10d4dea295e68de202a6e7076a",
-            "876b60a3d8d9ea3368f25ae40f4684d48280b5ad1098362eddd35b80fac3b59c",
+            "9f0e8520899d08dfc70329db25d249c48d3e9e3045b4f8626b6832a2f071ff9b",
+            "ddfc03f3d7e2cbf53660a1520c63c8628cd5f67be177f311dad54119eaaa834d",
         ),
         "drain-8000-pairs": (
             "drain", {"table": [1920, 36, 1440, 1040, 200, 2560, 4, 800], "seed": 7},

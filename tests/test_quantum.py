@@ -4,6 +4,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from bellstat import (
     wigner_check,
     wigner_check_probabilities,
 )
-from bellstat.populations import WIGNER_OUTCOMES, coplanar_directions, direction_angle, holds
+from bellstat.populations import WIGNER_OUTCOMES, holds
 from bellstat.quantum import _BLOCK, _SCAN_BLOCK
 from bellstat.reservoir import threshold_counts
 from bellstat.rng import stream
@@ -167,16 +168,19 @@ class TestScanColumns:
         assert {type(point.violated) for point in points} == {bool}
 
 
+def same_sign(angle):
+    """The singlet's P(+u; +v) = (1/2) sin^2(angle / 2), written out."""
+    return 0.5 * math.sin(angle / 2.0) ** 2
+
+
 def per_step_scan(spacing, steps):
-    """The scan as one loop over steps, each through the scalar kernel's
-    functions: the reference the columnar scan must match bit for bit."""
+    """The scan as one loop over steps, each the formula at the step's
+    nominal angles (2t, t, t): the reference the columnar scan must match
+    bit for bit."""
     theta, lhs, rhs, violated = [], [], [], []
     for k in range(1, steps + 1):
         t = float(spacing) * k / steps
-        a, b, c = coplanar_directions(t)
-        ab = 0.5 * math.sin(direction_angle(a, b) / 2.0) ** 2
-        ac = 0.5 * math.sin(direction_angle(a, c) / 2.0) ** 2
-        cb = 0.5 * math.sin(direction_angle(c, b) / 2.0) ** 2
+        ab, ac, cb = same_sign(2.0 * t), same_sign(t), same_sign(t)
         theta.append(t)
         lhs.append(ab)
         rhs.append(ac + cb)
@@ -196,7 +200,7 @@ def assert_scan_is(scan, expected):
 
 
 class TestColumnarScan:
-    """The blocked columnar scan against the per-step loop it replaced."""
+    """The blocked columnar scan against a per-step loop of the formula."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -216,8 +220,8 @@ class TestColumnarScan:
         assert_scan_is(quantum_wigner_scan(spacing, steps), per_step_scan(spacing, steps))
 
     def test_179_degrees_at_20000_steps(self):
-        """A grid on which libm's pow(x, 2) and x*x differ (for 50 of its
-        60,000 squares with glibc 2.36), so a square taken as a product
+        """A grid on which libm's pow(x, 2) and x*x differ (for 28 of its
+        40,000 squares with glibc 2.36), so a square taken as a product
         fails here."""
         spacing = math.radians(179)
         assert_scan_is(quantum_wigner_scan(spacing, 20_000), per_step_scan(spacing, 20_000))
@@ -235,14 +239,14 @@ class TestColumnarScan:
 
 class TestPinnedScan:
     """SHA-256 of every scan point packed as ``<3d?`` (theta, lhs, rhs,
-    violated).  The digests were taken from the scan that built an
-    ``AxisTriple`` and three ``SingletPrediction``s per step, so a kernel that
-    moves any value by one bit fails here."""
+    violated).  The digests were taken from the scan that evaluates the
+    formula at each step's nominal angles, and :func:`per_step_scan` gives
+    the same bytes, so a kernel that moves any value by one bit fails here."""
 
     DIGESTS = {
-        (179, 20_000): "38cbfcb409742f5bf1c38372902afa136621570cd0f8a29ae777f4b391b9073e",
-        (60, 20_000): "994bae19e675d54d3b9118fa57dc387d3a5b9661cf6e951732803778ad431865",
-        (137, 33_333): "4b3514ac17233565743f93e6b0071305c2789318491ab65f67f25ed197d0b579",
+        (179, 20_000): "d0c3c68a90e75fab49776303d5211c7bc1d92a4e16cac90cb5683a6518bfee7f",
+        (60, 20_000): "8d74efcc02106aa068fe0aca729d717a1d917e1c523f8a0d6ecfc7e247db0800",
+        (137, 33_333): "f29fa00c9d0a23b34db74424d50311f3182ccb22bcc10c41bd9550bc8345d8d4",
     }
 
     @pytest.mark.parametrize("spacing_deg, steps", DIGESTS)
@@ -288,18 +292,74 @@ class TestOneVerdict:
            | st.floats(1e-6, 3e-6))
     def test_scan_step_is_the_explicit_axes_check(self, spacing):
         """A one-step scan gives the lhs and rhs, bit for bit, that
-        ``wigner_check_probabilities`` gets from ``singlet_prediction`` on
-        the same coplanar axes, and flags exactly where the one verdict
-        fails.  Draws in [1e-6, 3e-6] rad put lhs - rhs near the tolerance."""
+        ``wigner_check_probabilities`` gets from the formula at 2 theta,
+        theta and theta; they lie within 8 ulp of ``singlet_prediction`` on
+        the same coplanar axes; and the step is flagged exactly where the one
+        verdict fails.  Draws in [1e-6, 3e-6] rad put lhs - rhs near the
+        tolerance."""
         (point,) = quantum_wigner_scan(spacing, 1)
+        check = wigner_check_probabilities(
+            same_sign(2.0 * spacing), same_sign(spacing), same_sign(spacing)
+        )
+        assert (point.lhs.hex(), point.rhs.hex()) == (check.lhs.hex(), check.rhs.hex())
         axes = AxisTriple.coplanar(spacing)
-        check = wigner_check_probabilities(*(
+        kernel = wigner_check_probabilities(*(
             singlet_prediction(axes.axis(o.alice_axis), axes.axis(o.bob_axis))
             .probability(o.alice_sign, o.bob_sign)
             for o in WIGNER_OUTCOMES
         ))
-        assert (point.lhs.hex(), point.rhs.hex()) == (check.lhs.hex(), check.rhs.hex())
+        assert abs(point.lhs - kernel.lhs) <= 8 * math.ulp(kernel.lhs)
+        assert abs(point.rhs - kernel.rhs) <= 8 * math.ulp(kernel.rhs)
         assert point.violated is (not holds(point.lhs, point.rhs)) is (not check.holds)
+
+
+def decimal_sin(x):
+    """sin of a Decimal by its Taylor series, at the context's precision."""
+    term, total, n = x, x, 1
+    while True:
+        n += 2
+        term = -term * x * x / (n * (n - 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+def ulps_off(value, exact):
+    """|value - exact| in units of the last place of ``exact`` rounded."""
+    return abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))
+
+
+def assert_scan_within_3_ulp(scan):
+    """Each lhs and rhs within 3 ulp of (1/2) sin^2(theta) and sin^2(theta/2),
+    taken to 60 digits at the scan's own float theta."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for point in scan:
+            theta = Decimal(point.theta)  # exact
+            sin_theta, sin_half = decimal_sin(theta), decimal_sin(theta / 2)
+            assert ulps_off(point.lhs, sin_theta * sin_theta / 2) <= 3, point
+            assert ulps_off(point.rhs, sin_half * sin_half) <= 3, point
+
+
+class TestScanAccuracy:
+    """An oracle independent of libm: stdlib ``decimal`` with a Taylor-series
+    sine.  A scan that takes the kernel on the rounded coplanar direction
+    vectors is up to 5.3 ulp off on the 179-degree grid and fails here."""
+
+    def test_179_degrees_at_20000_steps(self):
+        scan = quantum_wigner_scan(math.radians(179), 20_000)
+        assert_scan_within_3_ulp(list(scan)[::7])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spacing=st.one_of(
+            st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+            st.sampled_from([5e-324, 1e-300, 1e-8, math.pi / 2, math.nextafter(math.pi, 0.0)]),
+        ),
+        steps=st.integers(1, 40),
+    )
+    def test_generated_spacings(self, spacing, steps):
+        assert_scan_within_3_ulp(quantum_wigner_scan(spacing, steps))
 
 
 class TestSingletSampler:
