@@ -321,10 +321,10 @@ def entropy_ratios(v: MultiplicityVector, k: float = 1.0) -> tuple[float, ...]:
 
     These are NOT probabilities (they can be negative for omega < 1 and the
     denominator can vanish); they are reported to show what treating entropy
-    ratios as weights would look like.
+    ratios as weights would look like.  A zero entropy has share 0.0, not -0.0.
     """
     s = [entropy_from_multiplicity(Multiplicity(w), k).s for w in v.omegas]
     total = math.fsum(s)
     if abs(total) < 1e-300:
         raise ValidationError("total entropy is zero; ratios undefined")
-    return tuple(x / total for x in s)
+    return tuple(x / total if x else 0.0 for x in s)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellstat import ValidationError
@@ -790,6 +790,38 @@ class TestEmission:
         config = resolve_config("counterexample", None, {"samples": 1, "seed": 0})
         text = emit(run(config), "csv")
         assert text == ",".join(COMMANDS["counterexample"].csv_header) + "\n"
+
+
+@st.composite
+def _omegas_with_a_one(draw):
+    """Eight omegas, at least one exactly 1, whose total entropy is negative."""
+    ones = draw(st.lists(st.booleans(), min_size=8, max_size=8).filter(any))
+    logs = draw(st.lists(st.floats(-7.0, 3.0), min_size=8, max_size=8))
+    omegas = [1.0 if one else math.exp(x) for one, x in zip(ones, logs)]
+    assume(math.fsum(map(math.log, omegas)) < 0.0)
+    return omegas
+
+
+class TestNegativeZero:
+    @settings(max_examples=60, deadline=None)
+    @given(omegas=_omegas_with_a_one())
+    @example(omegas=[0.022739, 0.1, 97.016873, 1.0, 0.03513, 3.8671, 0.01, 2.0])
+    def test_entropy_report_round_trips(self, omegas):
+        """An omega of exactly 1 has entropy 0, and its share of a negative
+        total is 0, not -0: no ``-0`` is written, and the JSON round trip
+        gives the same bytes back."""
+        argv = ["entropy", "--omegas", ",".join(map(repr, omegas))]
+        texts = {}
+        for fmt in ("json", "csv"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main([*argv, "--format", fmt]) == 0
+            texts[fmt] = out.getvalue()
+        ints = []
+        doc = json.loads(texts["json"], parse_int=lambda text: ints.append(text) or int(text))
+        assert "-0" not in ints
+        assert dumps_stable(doc) + "\n" == texts["json"]
+        assert doc["results"]["entropy_ratios"][omegas.index(1.0)] == 0
+        assert "-0" not in {cell for line in texts["csv"].splitlines() for cell in line.split(",")}
 
 
 def reference_dumps(obj, indent=0):
