@@ -66,13 +66,8 @@ class Axis:
 
 def angle_between(u: Axis, v: Axis) -> float:
     """Angle in [0, pi] between two axes, accurate near 0 and pi."""
-    return direction_angle(u.direction, v.direction)
-
-
-def direction_angle(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
-    """:func:`angle_between` for two unit direction tuples."""
-    ux, uy, uz = u
-    vx, vy, vz = v
+    ux, uy, uz = u.direction
+    vx, vy, vz = v.direction
     dot = ux * vx + uy * vy + uz * vz
     cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), dot)

@@ -19,11 +19,11 @@ left side is 2 cos(theta) (1 + cos(theta)) < 0 there (Fine, PRL 48, 291
 
 The float kernel is one formula in ``math`` only, P(+u; +v) =
 (1/2) sin^2(angle / 2): :func:`singlet_prediction` takes it at the angle
-between two axes, and :func:`quantum_wigner_scan` at a coplanar step's
-nominal angles, a block of steps at a time, into the four arrays of a
-:class:`WignerScan`.  A brute-force oracle,
-:func:`singlet_prediction_statevector`, evaluates projector expectation values
-on the explicit 4-component singlet state; the tests hold the two within 1e-12.
+between two axes, and :func:`quantum_wigner_scan` at each coplanar step's
+nominal angles, in one pass into the four arrays of a :class:`WignerScan`.
+A brute-force oracle, :func:`singlet_prediction_statevector`, evaluates
+projector expectation values on the explicit 4-component singlet state; the
+tests hold the two within 1e-12.
 
 The Monte Carlo sampler (:func:`singlet_sample`) keeps its tallies as one
 ``(3, 3, 2, 2)`` count array, axis pair by sign pair, each pair's four sign
@@ -51,7 +51,7 @@ from .populations import (
     AxisTriple,
     EmpiricalEstimate,
     PairOutcome,
-    direction_angle,
+    angle_between,
     holds,
 )
 from .reservoir import threshold_counts
@@ -70,10 +70,6 @@ _SIGNS = (+1, -1)
 #: The choices are drawn as uint32, which numpy takes from the same 32-bit
 #: draws as the default int64, value for value.
 _BLOCK = 65536
-
-#: Steps per block of :func:`quantum_wigner_scan`'s columns, which keeps its
-#: temporary arrays to a few hundred KB at any ``steps``.
-_SCAN_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,8 @@ def _same_sign(angle: float) -> float:
 
 def singlet_prediction(axis1: Axis, axis2: Axis) -> SingletPrediction:
     """Singlet joint probabilities for Alice along axis1, Bob along axis2:
-    the float kernel at the angle between the axes' unit direction tuples."""
-    theta = direction_angle(axis1.direction, axis2.direction)
+    the float kernel at the angle between the axes."""
+    theta = angle_between(axis1, axis2)
     same, diff = _same_sign(theta), 0.5 * math.cos(theta / 2.0) ** 2
     return SingletPrediction(p_pp=same, p_pm=diff, p_mp=diff, p_mm=same)
 
@@ -194,9 +190,9 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     Each step is :func:`singlet_prediction`'s formula f(angle) =
     (1/2) sin^2(angle / 2) at the step's nominal angles: lhs = f(2 theta) and
     rhs = f(theta) + f(theta).  theta is ``arange(1, steps + 1) * spacing / steps``,
-    the same two roundings as ``spacing * k / steps``, filled ``_SCAN_BLOCK``
-    steps at a time.  f runs through :func:`_libm`, so its sin and its square
-    stay libm's: numpy's ufuncs may differ in the last bit, as may x*x from pow.
+    the same two roundings as ``spacing * k / steps``.  f runs through
+    :func:`_libm`, so its sin and its square stay libm's: numpy's ufuncs may
+    differ in the last bit, as may x*x from pow.
     """
     if not 0.0 < spacing < math.pi:
         raise ValidationError(f"spacing must be in (0, pi), got {spacing!r}")
@@ -205,15 +201,13 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps!r}")
     spacing, steps = float(spacing), int(steps)
-    scan = WignerScan(np.empty(steps), np.empty(steps), np.empty(steps), np.empty(steps, bool))
-    for start in range(0, steps, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, steps)
-        theta = scan.theta[start:stop] = np.arange(start + 1, stop + 1) * spacing / steps
-        lhs = scan.lhs[start:stop] = _libm(_same_sign, 2.0 * theta)
-        half = _libm(_same_sign, theta)
-        rhs = np.add(half, half, out=scan.rhs[start:stop])
-        np.logical_not(holds(lhs, rhs), out=scan.violated[start:stop])
-    return scan
+    theta = np.arange(1.0, steps + 1)
+    theta *= spacing
+    theta /= steps
+    lhs = _libm(_same_sign, 2.0 * theta)
+    rhs = _libm(_same_sign, theta)
+    rhs *= 2.0
+    return WignerScan(theta, lhs, rhs, np.logical_not(holds(lhs, rhs)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from bellstat import (
     wigner_check_probabilities,
 )
 from bellstat.populations import WIGNER_OUTCOMES, holds
-from bellstat.quantum import _BLOCK, _SCAN_BLOCK
+from bellstat.quantum import _BLOCK
 from bellstat.reservoir import threshold_counts
 from bellstat.rng import stream
 
@@ -213,7 +213,8 @@ class TestColumnarScan:
         ),
         steps=st.one_of(
             st.integers(1, 40),
-            st.sampled_from([_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK + 1]),
+            # The edges of the 2,048-step blocks the scan once filled.
+            st.sampled_from([2047, 2048, 2049, 4097]),
         ),
     )
     def test_bit_for_bit_with_the_per_step_loop(self, spacing, steps):
