@@ -72,7 +72,12 @@ def entropy_from_multiplicity(m: Multiplicity, k: float = 1.0) -> Entropy:
 
 def multiplicity_from_entropy(e: Entropy) -> Multiplicity:
     """Inverse of :func:`entropy_from_multiplicity`: omega = e^(S/k)."""
-    return Multiplicity(math.exp(e.s / e.k))
+    try:
+        return Multiplicity(math.exp(e.s / e.k))
+    except OverflowError:
+        raise ValidationError(
+            f"multiplicity e^(S/k) is too large for a float, S/k = {e.s / e.k!r}"
+        ) from None
 
 
 def gibbs_entropy(p: Sequence[float], k: float = 1.0) -> Entropy:
@@ -82,10 +87,11 @@ def gibbs_entropy(p: Sequence[float], k: float = 1.0) -> Entropy:
     k ln(omega), matching :func:`entropy_from_multiplicity`.
     """
     probs = [float(x) for x in p]
-    if any(x < 0 for x in probs):
-        raise ValidationError("probabilities must be nonnegative")
+    for x in probs:
+        if not x >= 0:  # phrased so a nan fails too
+            raise ValidationError(f"probabilities must be nonnegative, got {x!r}")
     total = math.fsum(probs)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValidationError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
     s = -k * math.fsum(x * math.log(x) for x in probs if x > 0.0)
     return Entropy(s=s, k=k)
@@ -206,9 +212,7 @@ def multiplicity_probability(
         total = math.fsum(math.prod(v.omega(n) for n in cls) for cls in partition)
     else:
         raise ValidationError(f"unknown normalization {normalization!r}")
-    if total == 0.0:
-        raise ValidationError("total multiplicity is zero")
-    return joint / total
+    return joint / total  # total > 0: positive omegas, or products that include joint > 0
 
 
 def _product_term(v: MultiplicityVector, label: str, indices: tuple[int, ...]) -> Term:

@@ -316,6 +316,12 @@ class EmpiricalEstimate:
         ``sqrt(p_hat (1 - p_hat) / n)``, times ``sqrt((bag - n) / (bag - 1))``
         for draws without replacement from a ``bag`` of that many pairs
         (Cochran 1977, ch. 2): 0 once the whole bag is drawn."""
+        if n < 1:
+            raise ValidationError(f"sample count must be >= 1, got {n!r}")
+        if not 0 <= hits <= n:
+            raise ValidationError(f"hits must be in 0..{n}, got {hits!r}")
+        if bag is not None and bag < n:
+            raise ValidationError(f"cannot draw {n} pairs from a bag of {bag}")
         p_hat = hits / n
         variance = p_hat * (1.0 - p_hat) / n
         if bag is not None:
