@@ -330,6 +330,10 @@ class TestHardening:
             pytest.param(["exact"], "[1, 2]", "must hold a JSON object", id="config-list"),
             pytest.param(["quantum"], {"axes": {**AXES, "b": [0, 1]}},
                          "axis 'b' must be a 3-vector", id="axis-2-vector"),
+            pytest.param(["quantum"], {"axes": list(AXES.values())},
+                         "axes must be an object with keys 'a', 'b', 'c'", id="axes-list"),
+            pytest.param(["exact"], {"table": [1.0] + [1] * 7},
+                         "population counts must be integers, got 1.0", id="table-float"),
             pytest.param(["exact", "--config", "."], None,
                          "neither a readable file nor a preset", id="config-directory"),
             pytest.param(["exact", "--table", ONES, "--format", "xml"], None,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bellstat import (
     BOLTZMANN_SI,
+    Entropy,
     Multiplicity,
     MultiplicityVector,
     PairOutcome,
@@ -61,6 +62,17 @@ class TestBoltzmannEntropy:
         with pytest.raises(ValidationError):
             Multiplicity(-2.0)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0])
+    def test_nonpositive_boltzmann_constant_rejected(self, k):
+        message = f"^Boltzmann constant must be positive, got {k}$"
+        with pytest.raises(ValidationError, match=message):
+            Entropy(1.0, k)
+
+    def test_multiplicity_too_large_for_a_float_rejected(self):
+        """e^1000 once raised a bare OverflowError."""
+        with pytest.raises(ValidationError, match="too large for a float, S/k = 1000.0$"):
+            multiplicity_from_entropy(Entropy(1000.0))
+
 
 class TestGibbsEntropy:
     @pytest.mark.parametrize("omega", [2, 6, 36, 1000])
@@ -82,6 +94,12 @@ class TestGibbsEntropy:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValidationError):
             gibbs_entropy([1.5, -0.5])
+
+    @pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, 0.5, math.nan]])
+    def test_nan_probability_rejected(self, p):
+        """Once S = -0.0 and ln 2: both checks were phrased so a nan passed."""
+        with pytest.raises(ValidationError, match="^probabilities must be nonnegative, got nan$"):
+            gibbs_entropy(p)
 
 
 class TestCombine:
@@ -230,6 +248,17 @@ class TestMultiplicityProbability:
         with pytest.raises(ValidationError):
             multiplicity_probability(MultiplicityVector.equal(), 1, 8)
 
+    def test_unknown_normalization_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown normalization 'bogus'$"):
+            multiplicity_probability(MultiplicityVector.equal(), 3, 4, normalization="bogus")
+
+    @pytest.mark.parametrize("normalization", ["outcome-classes", "raw"])
+    def test_products_that_underflow_to_zero_rejected(self, normalization):
+        """omega_3 * omega_4 underflows to 0 and is rejected as a multiplicity
+        before any total is taken; no total is 0 while that product is positive."""
+        with pytest.raises(ValidationError, match="^multiplicity must be positive, got 0.0$"):
+            multiplicity_probability(MultiplicityVector.equal(1e-200), 3, 4, normalization)
+
     def test_proportional_policy_needs_positive_counts(self):
         with pytest.raises(ValidationError):
             MultiplicityVector.from_counts(
@@ -239,6 +268,10 @@ class TestMultiplicityProbability:
 
 
 class TestMultiplicityVector:
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown multiplicity policy 'bogus'$"):
+            MultiplicityVector.from_counts(PopulationTable.uniform(), policy="bogus")
+
     def test_infinite_multiplicity_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             MultiplicityVector.from_iterable([math.inf] + [1.0] * 7)
@@ -364,6 +397,11 @@ class TestCounterexampleSearch:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValidationError):
             find_multiplicity_counterexample(0)
+
+    def test_unordered_range_rejected(self):
+        message = r"^log10_range must be ordered, got \(2\.0, -1\.0\)$"
+        with pytest.raises(ValidationError, match=message):
+            find_multiplicity_counterexample(5, log10_range=(2.0, -1.0))
 
 
 def reference_search(budget, seed=0, log10_range=(-1.0, 2.0), epsilon=0.05):

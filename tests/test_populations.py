@@ -86,6 +86,20 @@ class TestPopulationSigns:
             population_signs(bad)
 
 
+class TestSigns:
+    def test_bad_sign_of_a_triple_rejected(self):
+        with pytest.raises(ValidationError, match=r"^signs must be \+1 or -1, got 0$"):
+            SignTriple(+1, 0, -1)
+
+    def test_bad_axis_of_an_outcome_rejected(self):
+        with pytest.raises(ValidationError, match="^axis label must be one of .*, got 'x'$"):
+            PairOutcome("a", +1, "x", +1)
+
+    def test_bad_sign_of_an_outcome_rejected(self):
+        with pytest.raises(ValidationError, match=r"^signs must be \+1 or -1, got 2$"):
+            PairOutcome("a", 2, "b", +1)
+
+
 class TestOutcomePopulations:
     def test_plus_a_plus_b(self):
         assert outcome_populations(PairOutcome("a", +1, "b", +1)) == {3, 4}
@@ -294,6 +308,14 @@ class TestAxes:
         with pytest.raises(ValidationError):
             Axis("x", (0.0, 0.0, 1.0))
 
+    def test_direction_not_a_3_vector_rejected(self):
+        with pytest.raises(ValidationError, match="^axis direction must be a 3-vector$"):
+            Axis("a", (0.0, 1.0))
+
+    def test_unknown_label_of_a_triple_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown axis label 'd'$"):
+            AxisTriple.coplanar(1.0).axis("d")
+
     def test_coplanar_spacing(self):
         theta = math.radians(60.0)
         axes = AxisTriple.coplanar(theta)
@@ -330,6 +352,16 @@ class TestPopulationTable:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):
             PopulationTable.from_counts((1, 2, 3))
+
+    def test_non_integer_count_rejected_by_the_constructor(self):
+        with pytest.raises(ValidationError, match="^population counts must be integers, got 1.5$"):
+            PopulationTable((1.5, 0, 0, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("index", [0, 9])
+    def test_count_index_out_of_range(self, index):
+        message = f"^population index must be in 1..8, got {index}$"
+        with pytest.raises(ValidationError, match=message):
+            PopulationTable.uniform().count(index)
 
     def test_total_and_indexing(self):
         table = PopulationTable.from_counts(range(1, 9))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -30,7 +31,7 @@ from bellstat.reservoir import (
     remaining_counts,
     sample,
 )
-from bellstat.rng import stream
+from bellstat.rng import stream, validate_seed
 
 AB = PairOutcome("a", +1, "b", +1)
 
@@ -97,6 +98,10 @@ class TestSpecValidation:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError):
             ReservoirSpec.finite(PopulationTable.uniform(), seed)
+
+    def test_a_float_seed_is_named_in_the_message(self):
+        with pytest.raises(ValidationError, match=r"^seed must be an integer, got 1\.5$"):
+            validate_seed(1.5)
 
     def test_overdraw_rejected(self):
         spec = ReservoirSpec.finite(PopulationTable.uniform(), seed=1)
@@ -436,6 +441,22 @@ class TestFiniteStandardError:
         assert EmpiricalEstimate.from_hits(AB, 1, 1, bag=1).stderr == 0.0
         assert EmpiricalEstimate.from_hits(AB, 3, 10).stderr == math.sqrt(0.3 * 0.7 / 10)
 
+    @pytest.mark.parametrize("hits, n, bag, message", [
+        pytest.param(0, 0, None, "sample count must be >= 1, got 0", id="no-draws"),
+        pytest.param(5, 3, None, "hits must be in 0..3, got 5", id="hits-above-n"),
+        pytest.param(-1, 3, None, "hits must be in 0..3, got -1", id="negative-hits"),
+        pytest.param(2, 3, 2, "cannot draw 3 pairs from a bag of 2", id="overdrawn-bag"),
+    ])
+    def test_impossible_counts_rejected(self, hits, n, bag, message):
+        """Once a ZeroDivisionError, a math domain error, or a stderr of 0.0
+        for more draws than the bag holds."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EmpiricalEstimate.from_hits(AB, hits, n, bag=bag)
+
+    def test_no_draws_in_the_counts_rejected(self):
+        with pytest.raises(ValidationError, match="^sample count must be >= 1, got 0$"):
+            EmpiricalEstimate.from_counts(AB, [0] * 8)
+
 
 class TestDivergence:
     def test_single_draw_never_deviates(self):
@@ -504,3 +525,7 @@ class TestDivergence:
     def test_requires_seeds(self):
         with pytest.raises(ValidationError):
             finite_vs_infinite_divergence(PopulationTable.uniform(), 4, seeds=[])
+
+    def test_empty_bag_rejected(self):
+        with pytest.raises(ValidationError, match="^bag must contain at least one pair$"):
+            finite_vs_infinite_divergence(PopulationTable.uniform(0), 1, seeds=[1])
