@@ -95,7 +95,9 @@ class TestGibbsEntropy:
         with pytest.raises(ValidationError):
             gibbs_entropy([1.5, -0.5])
 
-    @pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, 0.5, math.nan]])
+    @pytest.mark.parametrize(
+        "p", [[math.nan, 1.0], [0.5, 0.5, math.nan]], ids=["nan-and-1", "halves-and-nan"]
+    )
     def test_nan_probability_rejected(self, p):
         """Once S = -0.0 and ln 2: both checks were phrased so a nan passed."""
         with pytest.raises(ValidationError, match="^probabilities must be nonnegative, got nan$"):
