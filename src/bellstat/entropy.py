@@ -72,11 +72,14 @@ def entropy_from_multiplicity(m: Multiplicity, k: float = 1.0) -> Entropy:
 
 def multiplicity_from_entropy(e: Entropy) -> Multiplicity:
     """Inverse of :func:`entropy_from_multiplicity`: omega = e^(S/k)."""
+    ratio = e.s / e.k
+    if not math.isfinite(ratio):
+        raise ValidationError(f"S/k must be finite, got {ratio!r}")
     try:
-        return Multiplicity(math.exp(e.s / e.k))
+        return Multiplicity(math.exp(ratio))
     except OverflowError:
         raise ValidationError(
-            f"multiplicity e^(S/k) is too large for a float, S/k = {e.s / e.k!r}"
+            f"multiplicity e^(S/k) is too large for a float, S/k = {ratio!r}"
         ) from None
 
 

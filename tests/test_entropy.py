@@ -73,6 +73,16 @@ class TestBoltzmannEntropy:
         with pytest.raises(ValidationError, match="too large for a float, S/k = 1000.0$"):
             multiplicity_from_entropy(Entropy(1000.0))
 
+    @pytest.mark.parametrize("e, ratio", [
+        (Entropy(math.inf), "inf"),
+        (Entropy(1.0, k=1e-320), "inf"),  # S/k overflows in the division
+        (Entropy(-1.0, k=1e-320), "-inf"),
+    ])
+    def test_non_finite_entropy_ratio_rejected(self, e, ratio):
+        """An infinite S/k once gave Multiplicity(omega=inf) silently."""
+        with pytest.raises(ValidationError, match=f"^S/k must be finite, got {ratio}$"):
+            multiplicity_from_entropy(e)
+
 
 class TestGibbsEntropy:
     @pytest.mark.parametrize("omega", [2, 6, 36, 1000])
