@@ -26,12 +26,13 @@ projector expectation values on the explicit 4-component singlet state; the
 tests hold the two within 1e-12.
 
 The Monte Carlo sampler (:func:`singlet_sample`) keeps its tallies as one
-``(3, 3, 2, 2)`` count array, axis pair by sign pair, each pair's four sign
-counts taken by the reservoir's :func:`~bellstat.reservoir.threshold_counts`
-from its uniform draws, and its estimates use the same binomial estimator as
-the reservoir's, :meth:`~bellstat.populations.EmpiricalEstimate.from_hits`.  It
-draws its axis choices and each pair's uniforms in blocks of ``_BLOCK``
-values and adds up their counts, so no per-sample array outlives a block.
+``(3, 3, 2, 2)`` count array, axis pair by sign pair, and its estimates use
+the same binomial estimator as the reservoir's,
+:meth:`~bellstat.populations.EmpiricalEstimate.from_hits`.  The tallies of
+``n`` independent pairs follow a multinomial law, so it draws them as such:
+one multinomial for the nine axis-pair counts, then one per drawn axis pair
+for its four sign counts, each numpy's chain of conditional binomials.  Its
+cost does not grow with ``n``, and it holds no per-sample array.
 """
 
 from __future__ import annotations
@@ -54,22 +55,12 @@ from .populations import (
     angle_between,
     holds,
 )
-from .reservoir import threshold_counts
 from .rng import stream
 
 AxisChoicePolicy = Literal["uniform"] | tuple[AxisLabel, AxisLabel]
 
 #: Sign order along the last two axes of ``SingletSampleCounts.counts``.
 _SIGNS = (+1, -1)
-
-#: Samples per draw call: axis choices are drawn ``(_BLOCK, 2)`` at a time and
-#: each pair's uniforms ``_BLOCK`` at a time.  Blocked calls give the same
-#: values as one call and leave the generator in the same state: uniforms take
-#: one 64-bit word each, and numpy takes the bounded axis choices from 32-bit
-#: halves whose spare half it keeps in the generator state between calls.
-#: The choices are drawn as uint32, which numpy takes from the same 32-bit
-#: draws as the default int64, value for value.
-_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -242,11 +233,6 @@ class SingletSampleCounts:
         return EmpiricalEstimate.from_hits(outcome, int(hits), n_pair)
 
 
-def _blocks(n: int) -> list[int]:
-    """The sizes of ``n`` samples' draw calls: ``_BLOCK`` each but the last."""
-    return [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
-
-
 def singlet_sample(
     axes: AxisTriple,
     n: int,
@@ -255,21 +241,21 @@ def singlet_sample(
 ) -> SingletSampleCounts:
     """Sample ``n`` singlet pairs, choosing axes per ``policy``.
 
-    Policies: ``"uniform"`` draws Alice's and Bob's axes independently and
+    Policies: ``"uniform"`` chooses Alice's and Bob's axes independently and
     uniformly from {a, b, c}; a tuple ``(alice_axis, bob_axis)`` fixes the
-    pair.  The pairs drawn for each of the nine axis pairs, in a-b-c order
-    with Alice's axis first, then get their joint signs from
-    :func:`singlet_prediction` for those axes.  Deterministic given ``seed``.
+    pair.  Deterministic given ``seed``: from ``stream(seed)``, the uniform
+    policy draws the nine axis-pair counts as one ``multinomial(n, [1/9] * 9)``
+    (a fixed pair gets all ``n``); then each axis pair with m > 0, in a-b-c
+    order with Alice's axis first, draws its four sign counts as one
+    ``multinomial(m, ...)`` over :func:`singlet_prediction` for those axes,
+    in the order (+, +), (+, -), (-, +), (-, -).
     """
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n!r}")
     rng = stream(seed)
 
     if policy == "uniform":
-        per_pair = np.zeros(9, dtype=np.int64)
-        for size in _blocks(n):
-            choices = rng.integers(0, 3, size=(size, 2), dtype=np.uint32)  # pair 3 * alice + bob
-            per_pair += np.bincount(3 * choices[:, 0] + choices[:, 1], minlength=9)
+        per_pair = rng.multinomial(n, [1 / 9] * 9)
     elif (
         isinstance(policy, tuple)
         and len(policy) == 2
@@ -286,7 +272,5 @@ def singlet_sample(
             continue
         alice_axis, bob_axis = AXIS_LABELS[pair // 3], AXIS_LABELS[pair % 3]
         prediction = singlet_prediction(axes.axis(alice_axis), axes.axis(bob_axis))
-        thresholds = np.cumsum(prediction.as_tuple()[:3])
-        for size in _blocks(m):
-            counts[pair] += threshold_counts(rng.random(size), thresholds)
+        counts[pair] = rng.multinomial(m, prediction.as_tuple())
     return SingletSampleCounts(counts=counts.reshape(3, 3, 2, 2), n=n, seed=seed)

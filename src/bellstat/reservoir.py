@@ -18,11 +18,11 @@ rebuilds the counts around every draw from that column; the conditional
 probabilities are its rows over their sums.  A divergence report holds two arrays with one row per seed and
 one column per step.
 
-One threshold rule places every draw, here and in the quantum sampler: a draw
-lies in cell j when exactly j of the ascending inner thresholds are at or
-below it, as ``searchsorted(side="right")`` would place it.
-:func:`threshold_counts` counts the draws per cell by it.  Every empirical
-probability is the estimate of :meth:`EmpiricalEstimate.from_hits`.
+One threshold rule places every draw here: a draw lies in cell j when exactly
+j of the ascending inner thresholds are at or below it, as
+``searchsorted(side="right")`` would place it.  :func:`threshold_counts`
+counts the draws per cell by it.  Every empirical probability is the
+estimate of :meth:`EmpiricalEstimate.from_hits`.
 
 Reproducibility contract: draws come from numpy's Philox generator, a
 counter-based RNG with a documented algorithm.  The stream for chunk ``c`` of

@@ -288,6 +288,17 @@ class TestHardening:
         config = resolve_config("quantum", None, overrides)
         assert (config.samples, config.steps) == (MAX_SAMPLES, MAX_ROWS)
 
+    def test_quantum_runs_at_the_sample_cap(self, tmp_path):
+        """The singlet sampler's cost does not grow with --samples."""
+        out = tmp_path / "report.json"
+        argv = ["quantum", "--axes-spacing", "60", "--samples", str(MAX_SAMPLES), "--out", str(out)]
+        assert MAX_SAMPLES == 100_000_000
+        assert main(argv) == 0
+        sampler = json.loads(out.read_text())["results"]["sampler"]
+        assert sampler["n"] == MAX_SAMPLES
+        for estimate in sampler["estimates"]:
+            assert abs(estimate["p_hat"] - estimate["reference"]) <= 5 * estimate["stderr"]
+
     @pytest.mark.parametrize("value", [1.7, True, "5"])
     @pytest.mark.parametrize("key", ["samples", "steps", "seed"])
     def test_non_integer_config_values_rejected(self, capsys, tmp_path, key, value):
@@ -1437,12 +1448,13 @@ class TestLargeReportBytes:
     """SHA-256 of the ``config``+``results`` JSON (``meta`` dropped) and of
     the CSV of two large reports.  The drain's were taken from the recursive
     writer that the template writer replaced; the quantum report's from the
-    scan that evaluates the singlet formula at each step's nominal angles."""
+    scan that evaluates the singlet formula at each step's nominal angles,
+    its JSON re-pinned for the multinomial singlet sampler."""
 
     CASES = {
         "quantum-20000-steps": (
             "quantum", {"axes_spacing_deg": 179, "steps": 20_000, "samples": 10_000, "seed": 3},
-            "9f0e8520899d08dfc70329db25d249c48d3e9e3045b4f8626b6832a2f071ff9b",
+            "d2e9307a0646964a15e2d015a0fda2b04440b9c10d4543982881e787aef46350",
             "ddfc03f3d7e2cbf53660a1520c63c8628cd5f67be177f311dad54119eaaa834d",
         ),
         "drain-8000-pairs": (

@@ -37,9 +37,12 @@ CASES = {
         "d2f0100aa83a43a9a7c011ae223a62976fc14a480b37ab37bc845edb79fcada6",
         "fd48265392797fe052101e3100b124ea830ae4ff74b67dc3303de69004473178",
     ),
+    # The two quantum JSON digests were re-pinned when the singlet sampler
+    # came to draw its counts from their multinomial law: only the sampler's
+    # n, p_hat and stderr moved.  Their CSVs hold scan rows only.
     "quantum-preset": (
         ["quantum", "--config", "quantum-60"],
-        "fb198906b5e34ecc96d43435c54212da67196bbc4b3bc74b62e8c6c994926cb3",
+        "71a5e82bdac5babe0de765c0e89ae41e0ca074efc20ffb511249d5a1aae06cfa",
         "30d68df04e5a8a70357edf435957af2108d5d4edc63a625afc220723fbabf700",
     ),
     "counterexample-preset": (
@@ -98,7 +101,7 @@ CASES = {
     ),
     "quantum-explicit-axes": (
         ["quantum", "--config", EXPLICIT_AXES],
-        "afe308ec69824592526c850e2c9f988907bfedc43eb0a994d62e8ffcd79b161c",
+        "824f69b12d69488ee17c154ce66269eba4ff78ea839b2332ab51437d53e45283",
         "57b863abbb8081e23fc26b0a2ee9e246707c451aa2eabb9bfbcb134f6be73c75",
     ),
 }

@@ -112,6 +112,17 @@ def test_the_cheap_paths_import_no_numpy():
     """)
 
 
+def test_the_singlet_sampler_needs_no_reservoir():
+    child("""
+        import sys
+        from bellstat.populations import AxisTriple
+        from bellstat.quantum import singlet_sample
+
+        assert singlet_sample(AxisTriple.coplanar(1.0), 1000, seed=1).counts.sum() == 1000
+        assert "bellstat.reservoir" not in sys.modules
+    """)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--table", "1,1,1,1,1,1,1,1", "--samples", "10"],
     ["drain", "--table", "1,1,1,1,1,1,1,1"],

@@ -27,7 +27,6 @@ from bellstat import (
     wigner_check_probabilities,
 )
 from bellstat.populations import WIGNER_OUTCOMES, holds
-from bellstat.quantum import _BLOCK
 from bellstat.reservoir import threshold_counts
 from bellstat.rng import stream
 
@@ -200,7 +199,7 @@ def assert_scan_is(scan, expected):
 
 
 class TestColumnarScan:
-    """The blocked columnar scan against a per-step loop of the formula."""
+    """The one-pass columnar scan against a per-step loop of the formula."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -227,15 +226,18 @@ class TestColumnarScan:
         spacing = math.radians(179)
         assert_scan_is(quantum_wigner_scan(spacing, 20_000), per_step_scan(spacing, 20_000))
 
-    def test_temporary_memory_stays_per_block(self):
+    @pytest.mark.parametrize("steps", [10**4, 10**5])
+    def test_temporaries_take_at_most_8_bytes_a_step(self, steps):
+        """Beyond the four columns it returns, the one pass holds at most one
+        float64 column at a time: a second step-sized temporary fails here."""
         tracemalloc.start()
         try:
-            scan = quantum_wigner_scan(math.radians(179), 10**5)
+            scan = quantum_wigner_scan(math.radians(179), steps)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(scan) == 10**5
-        assert peak - retained < 2**20
+        assert len(scan) == steps
+        assert peak - retained <= 8 * steps + 64 * 1024
 
 
 class TestPinnedScan:
@@ -397,14 +399,15 @@ class TestSingletSampler:
         b = singlet_sample(axes, 5000, seed=77)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_uint32_axis_choices_are_the_default_dtype_values(self):
-        # singlet_sample draws its axis choices as uint32: the same values as
-        # the default int64, and the same generator state after them.
-        for n in (1, 7, _BLOCK + 3):
-            ours, default = stream(8), stream(8)
-            choices = ours.integers(0, 3, size=(n, 2), dtype=np.uint32)
-            assert np.array_equal(choices, default.integers(0, 3, size=(n, 2)))
-            assert ours.random(3).tolist() == default.random(3).tolist()
+    def test_axis_pair_counts_are_the_first_draw_of_the_stream(self):
+        # the uniform policy's nine pair counts are one nine-way multinomial,
+        # drawn first from stream(seed)
+        axes = AxisTriple.coplanar(math.radians(60))
+        for n in (1, 7, 10**8):
+            counts = singlet_sample(axes, n, seed=8).counts
+            assert counts.sum(axis=(2, 3)).ravel().tolist() == (
+                stream(8).multinomial(n, [1 / 9] * 9).tolist()
+            )
 
     def test_unknown_policy_rejected(self):
         axes = AxisTriple.coplanar(math.radians(60))
@@ -427,22 +430,22 @@ class TestSingletSampler:
 class TestPinnedCounts:
     """SHA-256 of ``singlet_sample(...).counts`` as int64 bytes, concatenated
     over seeds {0, 2**64 - 1} and n in {1, 9, 12345}.  The digests were taken
-    from the mask-and-dict sampler that the bincount one replaced, so any
-    change that moves a draw or a count fails here."""
+    from the multinomial sampler, and :func:`reference_singlet_counts` gives
+    the same counts, so any change that moves a draw or a count fails here."""
 
     DIGESTS = {
-        ("uniform", 1): "8af1b5466c88932e429dcd5d58ee2d353e2fd0f843ff958f99eef2413e5479a1",
-        ("uniform", 45): "b7025bd14abe273725ed2b0b6a53b63cf61dd81385ca0f6319436f55ca8ed749",
-        ("uniform", 60): "ae04c72321563872bdfadbc5aeb77ed8cd4456f2bccab10f86457b1b84f32ee6",
-        ("uniform", 137): "408907a0e922350c938f6c3449b6df11b976ac09d6f9a7988dd5a62f29fa9a4b",
-        (("a", "b"), 1): "3efe2f8a120ae2474d2adeadfa92cfda376726f7ce7261899b3708d9b70e43be",
-        (("a", "b"), 45): "87cb0aa0c1f38fdb1c8e3175caac40d86edb5344f8c75d07328343220a55f847",
-        (("a", "b"), 60): "5f214beb1a2ecd756d4ff15fa234e4bb730399e9b54a23eabc33908fff38b1c4",
-        (("a", "b"), 137): "abbf80e329892911f484a86f8b5c7db4518a022473b39231714f16d0cb5991ce",
-        (("c", "a"), 1): "23e988b81682f5504644a9e9c470ac8adaee923d5a3efe6bb9a83296b358649f",
-        (("c", "a"), 45): "b9654a9c893dd8ae9ed8fb3f0a442125baf7eb8e46661b73c4c9667935904d18",
-        (("c", "a"), 60): "007ae9b1a6720ad0585fd05769fc02135b358aa62b13331fcfd65d9773554f6c",
-        (("c", "a"), 137): "267df1236bd3bdf5bde57297444e90c9b2b0bc27fee0ba7cea56f5684343fca2",
+        ("uniform", 1): "b8281e735ccc188e76bec40274891d29457579e52a1cb88f5338d7a14da2b2d3",
+        ("uniform", 45): "ffb44224a12af776c7a1750b73a045c3866b623a6090f7d5f832284e1611e263",
+        ("uniform", 60): "609c161bc375eae314d057091c2cbaaae7f1679ccf335e0108f95a8369887b70",
+        ("uniform", 137): "dea879a7dfda7897ed90739dfcb5eee1fc7599f1e572fca18f6a1ee184950bc4",
+        (("a", "b"), 1): "f7b4f7c71bf49aef4dadf563e83dc66ebee11890e29708c3e4819bff4f6a01ae",
+        (("a", "b"), 45): "18945ee1f4ad9c9bf43c1face5fa6921dd70fb0b05f572e70185329a6e68e43e",
+        (("a", "b"), 60): "1a201b45252b99f65d752d88d254e0aaee0052b57acef8ff37c975b86ac35b7f",
+        (("a", "b"), 137): "1b1c3be5dec65836c2b0a8e530e07f77b497ee71dec83740cd6d5771b5ee13e2",
+        (("c", "a"), 1): "6d208217141689c6315f83ae2b7d9b42db59fdc864588e64f0e337739d617555",
+        (("c", "a"), 45): "c070c7133210258547a6953b0e5d3befc6b8b34eb961676da5ece915b6a9a013",
+        (("c", "a"), 60): "a011fe74026fb6f6c912d6bcddbce92c179698b1df1d729a4b921c0b61e8cdd0",
+        (("c", "a"), 137): "3a0f49a63b0f075759fa594b99bbb3f195ed82fc2c494bba00eed6f91dfce747",
     }
 
     @pytest.mark.parametrize("policy, spacing_deg", DIGESTS)
@@ -462,26 +465,6 @@ def reference_sign_counts(u, thresholds):
     """The ``searchsorted`` + ``bincount`` cell tally that threshold counts replaced."""
     edges = np.append(thresholds, 1.0)
     return np.bincount(np.searchsorted(edges, u, side="right"), minlength=4).tolist()
-
-
-def reference_singlet_counts(axes, n, seed, policy="uniform"):
-    """The sampler before threshold counts, on the same stream."""
-    rng = stream(seed)
-    if policy == "uniform":
-        choices = rng.integers(0, 3, size=(n, 2))
-        per_pair = np.bincount(3 * choices[:, 0] + choices[:, 1], minlength=9)
-    else:
-        per_pair = np.zeros(9, dtype=np.int64)
-        per_pair[3 * AXIS_LABELS.index(policy[0]) + AXIS_LABELS.index(policy[1])] = n
-    counts = np.zeros((9, 4), dtype=np.int64)
-    for pair, m in enumerate(per_pair.tolist()):
-        if m:
-            prediction = singlet_prediction(
-                axes.axis(AXIS_LABELS[pair // 3]), axes.axis(AXIS_LABELS[pair % 3])
-            )
-            thresholds = np.cumsum(prediction.as_tuple())[:3]
-            counts[pair] = reference_sign_counts(rng.random(m), thresholds)
-    return counts.reshape(3, 3, 2, 2)
 
 
 class TestSignCounts:
@@ -504,28 +487,97 @@ class TestSignCounts:
         u = u[u < 1.0]
         assert threshold_counts(u, thresholds) == reference_sign_counts(u, thresholds)
 
-    @pytest.mark.parametrize("geometry", [
-        AxisTriple.coplanar(math.radians(60)),
-        AxisTriple.coplanar(1e-9),  # theta -> 0
-        AxisTriple.coplanar(math.pi / 2 - 1e-9),  # a-b angle -> pi
-        AxisTriple(Axis("a", (0.0, 0.0, 1.0)), Axis("b", (0.0, 0.0, -1.0)), Axis("c", (1.0, 0.0, 0.0))),
-    ])
-    @pytest.mark.parametrize("policy", ["uniform", ("a", "b"), ("c", "c")])
-    def test_sampler_matches_the_searchsorted_sampler(self, geometry, policy):
-        for seed in (0, 1, 2**64 - 1):
-            counts = singlet_sample(geometry, 30_001, seed, policy).counts
-            assert np.array_equal(counts, reference_singlet_counts(geometry, 30_001, seed, policy))
 
-    @pytest.mark.parametrize("n, policy", [
-        (_BLOCK - 1, "uniform"), (_BLOCK, "uniform"), (_BLOCK + 1, "uniform"),
-        (_BLOCK - 1, ("b", "c")), (_BLOCK, ("b", "c")), (_BLOCK + 1, ("b", "c")),
-        (9 * _BLOCK + 1, "uniform"),  # some axis pair's uniforms cross a block too
-    ])
-    def test_blocked_draws_match_one_call(self, n, policy):
-        # the reference draws every axis choice, and each pair's uniforms, in one call
-        axes = AxisTriple.coplanar(math.radians(60))
-        counts = singlet_sample(axes, n, 2**64 - 1, policy).counts
-        assert np.array_equal(counts, reference_singlet_counts(axes, n, 2**64 - 1, policy))
+def binomial_chain(rng, n, probabilities):
+    """``rng.multinomial(n, probabilities)`` written out as numpy draws it:
+    each cell but the last takes Binomial(left, p / remaining) of the ``left``
+    samples not yet placed, ``remaining`` being 1 less the earlier cells'
+    probabilities, until none are left; the last cell takes the rest."""
+    counts, left, remaining = [0] * len(probabilities), n, 1.0
+    for j, p in enumerate(probabilities[:-1]):
+        counts[j] = int(rng.binomial(left, p / remaining))
+        left -= counts[j]
+        if left == 0:
+            break
+        remaining -= p
+    counts[-1] = left
+    return counts
+
+
+def reference_singlet_counts(axes, n, seed, policy="uniform"):
+    """The sampler's contract as binomial draws on the same stream: the nine
+    axis-pair counts, then each drawn pair's four sign counts."""
+    rng = stream(seed)
+    if policy == "uniform":
+        per_pair = binomial_chain(rng, n, [1 / 9] * 9)
+    else:
+        per_pair = [0] * 9
+        per_pair[3 * AXIS_LABELS.index(policy[0]) + AXIS_LABELS.index(policy[1])] = n
+    counts = np.zeros((9, 4), dtype=np.int64)
+    for pair, m in enumerate(per_pair):
+        if m:
+            prediction = singlet_prediction(
+                axes.axis(AXIS_LABELS[pair // 3]), axes.axis(AXIS_LABELS[pair % 3])
+            )
+            counts[pair] = binomial_chain(rng, m, prediction.as_tuple())
+    return counts.reshape(3, 3, 2, 2)
+
+
+GEOMETRIES = [
+    AxisTriple.coplanar(math.radians(60)),
+    AxisTriple.coplanar(1e-9),  # theta -> 0
+    AxisTriple.coplanar(math.pi / 2 - 1e-9),  # a-b angle -> pi
+    AxisTriple(Axis("a", (0.0, 0.0, 1.0)), Axis("b", (0.0, 0.0, -1.0)), Axis("c", (1.0, 0.0, 0.0))),
+]
+
+
+def z_scores(counts, trials, p):
+    """(counts - trials p) / sqrt(trials p (1 - p)), for cells with 0 < p < 1."""
+    return (counts - trials * p) / np.sqrt(trials * p * (1.0 - p))
+
+
+class TestMultinomialDraws:
+    """The sampler's counts are multinomial draws on ``stream(seed)``."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("policy", ["uniform", ("a", "b"), ("c", "c")])
+    def test_sampler_matches_the_binomial_chain(self, geometry, policy):
+        for seed in [*range(300), 2**64 - 1]:
+            for n in (1, 9, 12345, 10**6, 10**8):
+                counts = singlet_sample(geometry, n, seed, policy).counts
+                assert np.array_equal(counts, reference_singlet_counts(geometry, n, seed, policy))
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES[1:])
+    def test_degenerate_geometries_at_the_sample_cap(self, geometry):
+        counts = singlet_sample(geometry, 10**8, seed=5).counts
+        assert counts.dtype == np.int64 and counts.sum() == 10**8
+        for axis in range(3):
+            assert counts[axis, axis, 0, 0] == counts[axis, axis, 1, 1] == 0
+
+    def test_counts_follow_their_binomial_laws(self):
+        """Over 200 seeds, each axis-pair count is Binomial(n, 1/9), and each
+        sign count Binomial(m, p) for its pair's count m and predicted p:
+        every z-score is within 5, and per cell the 200 z-scores have a mean
+        and a mean square within 5 standard errors of 0 and 1.  Cells with
+        p = 0 hold no sample."""
+        axes, n = AxisTriple.coplanar(math.radians(60)), 90_000
+        p = np.array([
+            singlet_prediction(axes.axis(alice), axes.axis(bob)).as_tuple()
+            for alice in AXIS_LABELS for bob in AXIS_LABELS
+        ])
+        drawn = p > 0.0
+        pair_z, sign_z = [], []
+        for seed in range(200):
+            counts = singlet_sample(axes, n, seed).counts.reshape(9, 4)
+            per_pair = counts.sum(axis=1)
+            assert not counts[~drawn].any()
+            pair_z.append(z_scores(per_pair, n, 1 / 9))
+            trials = np.repeat(per_pair, 4).reshape(p.shape)
+            sign_z.append(z_scores(counts[drawn], trials[drawn], p[drawn]))
+        for z in map(np.array, (pair_z, sign_z)):
+            assert np.abs(z).max() <= 5.0
+            assert np.abs(z.mean(axis=0)).max() <= 5.0 / math.sqrt(200)
+            assert np.abs((z**2).mean(axis=0) - 1.0).max() <= 5.0 * math.sqrt(2 / 200)
 
 
 class TestClassicalUnreachability:
