@@ -487,6 +487,33 @@ class TestSignCounts:
         u = u[u < 1.0]
         assert threshold_counts(u, thresholds) == reference_sign_counts(u, thresholds)
 
+    @pytest.mark.parametrize("n, policy", [
+        (2**16 - 1, "uniform"), (2**16, "uniform"), (2**16 + 1, "uniform"),
+        (2**16 - 1, ("b", "c")), (2**16, ("b", "c")), (2**16 + 1, ("b", "c")),
+        (9 * 2**16 + 1, "uniform"),  # some axis pair's count crosses 2**16 too
+    ])
+    def test_blocked_draws_match_one_call(self, n, policy):
+        """Either side of 2**16, the block size of the per-sample sampler this
+        one replaced, each group of counts is one ``multinomial`` call on the
+        stream: the nine axis-pair counts, then each drawn pair's sign counts."""
+        axes, seed = AxisTriple.coplanar(math.radians(60)), 2**64 - 1
+        rng = stream(seed)
+        if policy == "uniform":
+            per_pair = rng.multinomial(n, [1 / 9] * 9)
+        else:
+            per_pair = np.zeros(9, dtype=np.int64)
+            per_pair[3 * AXIS_LABELS.index(policy[0]) + AXIS_LABELS.index(policy[1])] = n
+        expected = np.zeros((9, 4), dtype=np.int64)
+        for pair, m in enumerate(per_pair.tolist()):
+            if m:
+                prediction = singlet_prediction(
+                    axes.axis(AXIS_LABELS[pair // 3]), axes.axis(AXIS_LABELS[pair % 3])
+                )
+                expected[pair] = rng.multinomial(m, prediction.as_tuple())
+        counts = singlet_sample(axes, n, seed, policy).counts
+        assert np.array_equal(counts, expected.reshape(3, 3, 2, 2))
+        assert np.array_equal(counts, reference_singlet_counts(axes, n, seed, policy))
+
 
 def binomial_chain(rng, n, probabilities):
     """``rng.multinomial(n, probabilities)`` written out as numpy draws it:
