@@ -17,10 +17,10 @@ E_ab = cos(2 theta), they break the facet 1 + E_ab + E_ac + E_cb >= 0, whose
 left side is 2 cos(theta) (1 + cos(theta)) < 0 there (Fine, PRL 48, 291
 (1982)).
 
-The float kernel is one formula in ``math`` only, P(+u; +v) =
-(1/2) sin^2(angle / 2): :func:`singlet_prediction` takes it at the angle
+The float kernel is one formula, P(+u; +v) = (1/2) sin^2(angle / 2), in
+libm's ``sin`` and ``pow``: :func:`singlet_prediction` takes it at the angle
 between two axes, and :func:`quantum_wigner_scan` at each coplanar step's
-nominal angles, in one pass into the four arrays of a :class:`WignerScan`.
+nominal angles, mapped over whole columns with no Python frame per value.
 A brute-force oracle, :func:`singlet_prediction_statevector`, evaluates
 projector expectation values on the explicit 4-component singlet state; the
 tests hold the two within 1e-12.
@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,11 +157,12 @@ class WignerScan:
         return map(ScanPoint, *(column.tolist() for column in columns))
 
 
-def _libm(f: Callable[[float], float], column: np.ndarray) -> np.ndarray:
-    """``f`` over a float64 column, element by element, as a float64 array.
-    Each value is a call of the Python function ``f``, so ``math`` functions
-    in it give libm's results bit for bit, where numpy's ufuncs may not."""
-    return np.fromiter(map(f, memoryview(column)), float, len(column))
+def _half_sin_squared(column: np.ndarray) -> np.ndarray:
+    """(1/2) sin^2 of each value of a float64 column, libm's ``sin`` and
+    ``pow`` through builtin maps, with no Python frame per value."""
+    squares = map(math.pow, map(math.sin, memoryview(column)), repeat(2.0))
+    values = np.fromiter(squares, float, len(column))
+    return np.multiply(values, 0.5, out=values)
 
 
 def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
@@ -181,9 +183,9 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     Each step is :func:`singlet_prediction`'s formula f(angle) =
     (1/2) sin^2(angle / 2) at the step's nominal angles: lhs = f(2 theta) and
     rhs = f(theta) + f(theta).  theta is ``arange(1, steps + 1) * spacing / steps``,
-    the same two roundings as ``spacing * k / steps``.  f runs through
-    :func:`_libm`, so its sin and its square stay libm's: numpy's ufuncs may
-    differ in the last bit, as may x*x from pow.
+    the same two roundings as ``spacing * k / steps``; lhs is (1/2) sin^2(theta)
+    and rhs ((1/2) sin^2(theta / 2)) * 2, two products that a subnormal square
+    needs.  sin and pow are libm's: numpy's ufuncs and x*x can differ in the last bit.
     """
     if not 0.0 < spacing < math.pi:
         raise ValidationError(f"spacing must be in (0, pi), got {spacing!r}")
@@ -192,11 +194,9 @@ def quantum_wigner_scan(spacing: float, steps: int = 1) -> WignerScan:
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps!r}")
     spacing, steps = float(spacing), int(steps)
-    theta = np.arange(1.0, steps + 1)
-    theta *= spacing
-    theta /= steps
-    lhs = _libm(_same_sign, 2.0 * theta)
-    rhs = _libm(_same_sign, theta)
+    theta = np.arange(1.0, steps + 1) * spacing / steps
+    lhs = _half_sin_squared(theta)
+    rhs = _half_sin_squared(theta / 2.0)  # theta / 2 is freed before holds runs
     rhs *= 2.0
     return WignerScan(theta, lhs, rhs, np.logical_not(holds(lhs, rhs)))
 
