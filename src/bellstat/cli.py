@@ -56,36 +56,35 @@ or bool per row, or a 2-D array of the rows' number lists; the CSV of drain
 and quantum is the same arrays (:func:`_csv_parts`).  The few CSV rows of
 exact, simulate, entropy and counterexample are joined cell by cell
 (:func:`_csv_rows`), as their JSON record is written value by value.  JSON
-rows and CSV lines of a table share one block pass: each block of up to 1024
-rows becomes one string through one row template.  Each table column's kind
-is told once (:func:`_kind`): ``%d`` for an integer array, ``%.17g`` for a
-finite float64 array, ``b`` for a bool array (``true``/``false`` in both
-formats); a column of no kind, a non-finite or other array, raises the
-writer's own error.  A block of at least :data:`FLOAT_TEXTS_MIN` values is one byte matrix, a
-row per block row: the template's literal bytes, and between them each
-value's text, padded, from :mod:`~bellstat.floattext` (``%.17g`` and ``%d``
-computed exactly in numpy, so the bytes do not change); one ``translate``
-deletes the pads.  Every other block is filled by one ``%``, each column by
-its kind's piece.
+rows and CSV lines of a table share one block pass: each block, as many whole
+rows as fit in :data:`_BLOCK_VALUES` values, becomes one string through one
+row template.  Each table column's kind is told once (:func:`_kind`): ``%d``
+for an integer array, ``%.17g`` for a finite float64 array, ``b`` for a bool
+array (``true``/``false`` in both formats); a column of no kind, a non-finite
+or other array, raises the writer's own error.  A block of at least
+:data:`FLOAT_TEXTS_MIN` values is one byte matrix, a row per block row: the
+template's literal bytes, and between them each value's text, padded, from
+:mod:`~bellstat.floattext` (``%.17g`` and ``%d`` computed exactly in numpy,
+so the bytes do not change); one ``translate`` deletes the pads.  Every other
+block is filled by one ``%``, each column by its kind's piece.
 
 :func:`main` writes the report while it is made, block by block, to stdout
 or the ``--out`` file, and never holds its whole text.  Everything but the
 :class:`Columns` tables (config, meta, every other result) is made first, as
-one text, with each table's column kinds told; each table's blocks of up to
-1024 rows are then made and written one at a time, and none of them can
-fail.  So a report that fails exits 2 and writes nothing.  Exit 3 (a failed
-write) can leave a partial stdout or ``--out`` file, as a failed write of
-the whole text could.  :func:`dumps_stable` and :func:`emit` join the same
-pieces into one string.
+one text, with each table's column kinds told; each table's blocks are then
+made and written one at a time, and none of them can fail.  So a report
+that fails exits 2 and writes nothing.  Exit 3 (a failed write) can leave a
+partial stdout or ``--out`` file, as a failed write of the whole text could.
+:func:`dumps_stable` and :func:`emit` join the same pieces into one string.
 
 Exit codes: 0 success, 2 validation error, argv the parser rejects included
 (only ``--help`` exits through argparse), 3 I/O error.  :func:`main` builds
 its parser once per process (:func:`build_parser` is cached) and reuses it on
 every later call.  numpy loads when a command that draws (``simulate``,
-``drain``, ``quantum``, ``counterexample``) first needs it, and
-:mod:`~bellstat.reservoir` and :mod:`~bellstat.quantum` with it for all but
-``counterexample``; so ``--help``, :func:`resolve_config`, an input error,
-``exact`` and ``entropy`` never import numpy.
+``drain``, ``quantum``, ``counterexample``) first needs it, with the one
+module it draws with (:mod:`~bellstat.reservoir` or :mod:`~bellstat.quantum`);
+so ``--help``, :func:`resolve_config`, an input error, ``exact`` and
+``entropy`` never import numpy.
 """
 
 from __future__ import annotations
@@ -132,10 +131,10 @@ from .presets import PRESET_NAMES, load_preset
 
 SCHEMA_ID = "bellstat-report/1"
 
-#: The two reservoir functions outside the public API that :func:`_load`
-#: binds here, besides the package's lazy names.  No command calls
+#: The names :func:`_load` binds here, by module: the package's lazy names and
+#: two reservoir functions outside the public API.  No command calls
 #: ``empirical_probability`` or ``sample``: bench/spans.py wraps them by name.
-_RESERVOIR = ("population_counts", "sample")
+_LAZY = {**_PACKAGE_LAZY, "population_counts": "reservoir", "sample": "reservoir"}
 
 #: Upper bound on ``samples``: a sample budget of this size fits in memory.
 MAX_SAMPLES = 10**8
@@ -148,25 +147,25 @@ MAX_ROWS = 10**6
 #: cross between 1,000 and 1,500 values, for drain steps and scan points).
 FLOAT_TEXTS_MIN = 1024
 
-#: Rows of a report table made into one string, and written as one piece.
-_BLOCK_ROWS = 1024
+#: Values in a block of report rows (4,096 scan points, 910 drain steps).
+_BLOCK_VALUES = 16_384
 
 
-def _load() -> None:
-    """Bind numpy as ``np``, the names the package serves on first use and
-    those of :data:`_RESERVOIR` as module globals, once."""
-    if "np" not in globals():
-        package, reservoir = sys.modules[__package__], import_module(".reservoir", __package__)
-        globals().update({name: getattr(package, name) for name in _PACKAGE_LAZY})
-        globals().update({name: getattr(reservoir, name) for name in _RESERVOIR})
-        globals()["np"] = import_module("numpy")
+@cache
+def _load(module: str | None = None) -> None:
+    """Bind numpy as ``np`` and the :data:`_LAZY` names of ``module``
+    (``reservoir`` or ``quantum``) as module globals, once."""
+    if module is not None:
+        lib = import_module(f".{module}", __package__)
+        globals().update({n: getattr(lib, n) for n, home in _LAZY.items() if home == module})
+    globals()["np"] = import_module("numpy")
 
 
 def __getattr__(name: str) -> Any:
-    """A name :func:`_load` binds, bound on first use."""
-    if name != "np" and name not in _PACKAGE_LAZY and name not in _RESERVOIR:
+    """A name :func:`_load` binds, bound on first use with its module's."""
+    if name != "np" and name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load()
+    _load(_LAZY.get(name))
     return globals()[name]
 
 
@@ -355,19 +354,20 @@ def _matrix_text(
 def _blocks(
     columns: Sequence[np.ndarray], row: Callable[[list[list[str]]], str], sep: str
 ) -> Iterator[str]:
-    """Each block of up to :data:`_BLOCK_ROWS` rows of the arrays ``columns``
-    as one string, made as it is read: ``row(pieces)``, the row template of
-    each column's pieces, once per row, joined by ``sep``.  Each column's
-    :func:`_kind` is told once, by this call, so a column that has none
-    raises :class:`ValidationError` here and no block can.  A block of at
-    least :data:`FLOAT_TEXTS_MIN` values is one :func:`_matrix_text`; any
-    other is filled by one ``%`` with the value columns of
-    :func:`_value_columns`."""
+    """Each block of rows of the arrays ``columns`` as one string, made as it
+    is read: ``row(pieces)``, the row template of each column's pieces, once
+    per row, joined by ``sep``; a block is the most whole rows (one at least)
+    in :data:`_BLOCK_VALUES` values.  Each column's :func:`_kind` is told
+    once, by this call, so a column that has none raises
+    :class:`ValidationError` here and no block can.  A block of at least
+    :data:`FLOAT_TEXTS_MIN` values is one :func:`_matrix_text`; any other is
+    filled by one ``%`` with the value columns of :func:`_value_columns`."""
     kinds, n = list(map(_kind, columns)), len(columns[0]) if columns else 0
+    rows = max(1, _BLOCK_VALUES // max(1, sum(math.prod(c.shape[1:]) for c in columns)))
 
     def made() -> Iterator[str]:
-        for i in range(0, n, _BLOCK_ROWS):
-            block = [column[i:i + _BLOCK_ROWS] for column in columns]
+        for i in range(0, n, rows):
+            block = [column[i:i + rows] for column in columns]
             if sum(map(np.size, block)) >= FLOAT_TEXTS_MIN:
                 yield _matrix_text(block, kinds, row, sep)
                 continue
@@ -594,7 +594,7 @@ COMMANDS["exact"] = Command(
 
 
 def _run_simulate(config: ExperimentConfig) -> dict:
-    _load()
+    _load("reservoir")
     assert config.table is not None
     spec = ReservoirSpec(config.mode, config.table, config.seed)  # type: ignore[arg-type]
     counts = population_counts(spec, config.samples)
@@ -634,7 +634,7 @@ COMMANDS["simulate"] = Command(
 
 
 def _run_drain(config: ExperimentConfig) -> dict:
-    _load()
+    _load("reservoir")
     assert config.table is not None
     spec = ReservoirSpec.finite(config.table, config.seed)
     if config.table.total > MAX_ROWS:
@@ -674,7 +674,7 @@ COMMANDS["drain"] = Command(
 
 
 def _run_quantum(config: ExperimentConfig) -> dict:
-    _load()
+    _load("quantum")
     axes = config.axes
     if axes is None:
         assert config.axes_spacing_deg is not None

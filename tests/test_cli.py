@@ -26,6 +26,7 @@ from bellstat.cli import (
     Columns,
     Command,
     RunReport,
+    _BLOCK_VALUES,
     _csv_parts,
     _csv_rows,
     _matrix_text,
@@ -1153,7 +1154,7 @@ class TestCsvWriter:
 
 
 _COLUMN_KINDS = (
-    "float array", "fast float array", "int array",
+    "float array", "fast float array", "int array", "bool array",
     "1-D float array", "1-D fast float array", "1-D int array", "1-D bool array",
     "uint64 array", "small int array", "edge float array",
 )
@@ -1184,15 +1185,17 @@ def _int64(rng):
 @st.composite
 def _column_tables(draw, sizes):
     """A :class:`Columns` table with 1-D float64, int64 and bool array
-    columns, and 2-D float64, int64 and uint64 array columns, like the drain's
-    and the scan's.  The "fast float" kinds hold values that ``float_texts``
-    writes in numpy; the "edge float" kind mixes them with zeros, subnormals
-    and the ends of that range."""
-    n = draw(sizes)
+    columns, and 2-D float64, int64, uint64 and bool array columns, like the
+    drain's and the scan's.  The "fast float" kinds hold values that
+    ``float_texts`` writes in numpy; the "edge float" kind mixes them with
+    zeros, subnormals and the ends of that range.  ``sizes`` draws the row
+    count, or maps the values in one row to the strategy that draws it."""
     width = draw(st.integers(1, 9))
     rng = random.Random(draw(st.integers(0, 2**32)))
     kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5))
     keys = draw(st.lists(_KEYS, min_size=len(kinds), max_size=len(kinds), unique=True))
+    row = sum(1 if kind.startswith("1-D ") else width for kind in kinds)
+    n = draw(sizes(row) if callable(sizes) else sizes)
     def column(kind):
         if kind in _ARRAY_KINDS:
             value, dtype = _ARRAY_KINDS[kind]
@@ -1205,6 +1208,23 @@ def _column_tables(draw, sizes):
     return Columns((key, column(kind)) for key, kind in zip(keys, kinds))
 
 
+def rows_per_block(width):
+    """The rows of ``width`` values a block holds: as many whole rows as fit
+    in :data:`_BLOCK_VALUES` values, at least one."""
+    return max(1, _BLOCK_VALUES // width)
+
+
+def block_rows(n, width):
+    """The rows of each block the writer makes of ``n`` rows of ``width`` values."""
+    rows = rows_per_block(width)
+    return [min(rows, n - i) for i in range(0, n, rows)]
+
+
+def _width(columns):
+    """The values in one row of ``columns``: 1 per 1-D column, k per 2-D column of k."""
+    return sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+
+
 def _rows_of(columns):
     """The row dicts and the CSV rows that a column table stands for."""
     lists = {k: c.tolist() for k, c in columns.items()}
@@ -1215,6 +1235,19 @@ def _rows_of(columns):
         for i in range(n)
     ]
     return dicts, csv_rows
+
+
+def _block_settings(width):
+    """Block sizes, in values, for rows of ``width`` values: one row a block,
+    one value either side of :data:`FLOAT_TEXTS_MIN`, 1,024 rows, and the
+    writer's own :data:`_BLOCK_VALUES`."""
+    return [1, FLOAT_TEXTS_MIN - 1, FLOAT_TEXTS_MIN + 1, 1024 * width, _BLOCK_VALUES]
+
+
+def _past_block_edges(width):
+    """0 to 3 rows past the first block edge of each of :func:`_block_settings`."""
+    edges = sorted({0, *(max(1, values // width) for values in _block_settings(width))})
+    return st.tuples(st.sampled_from(edges), st.integers(0, 3)).map(sum)
 
 
 class TestColumnTable:
@@ -1238,20 +1271,35 @@ class TestColumnTable:
 
     def test_streamed_pieces_join_to_the_text_one_block_each(self):
         rng = random.Random(5)
+        n = 2 * rows_per_block(4) + 952  # two full blocks of 4-value rows, then 952 rows
         columns = Columns(
-            step=np.arange(1, 3001),
-            p=np.array([[_fast_float(rng) for _ in range(3)] for _ in range(3000)]),
+            step=np.arange(1, n + 1),
+            p=np.array([[_fast_float(rng) for _ in range(3)] for _ in range(n)]),
         )
         dicts, csv_rows = _rows_of(columns)
         header = ["step", "p1", "p2", "p3"]
+        blocks = block_rows(n, 4)
+        assert len(blocks) == 3 and blocks[-1] == 952
         pieces = list(_parts({"rows": columns}))
         assert "".join(pieces) == reference_dumps({"rows": dicts})
         # The text before the table, a piece per block, the bracket, the rest.
-        assert [piece.count('"step": ') for piece in pieces] == [0, 1024, 1024, 952, 0, 0]
+        assert [piece.count('"step": ') for piece in pieces] == [0, *blocks, 0, 0]
         lines = list(_csv_parts(header, list(columns.values())))
         assert "".join(lines) == reference_csv(header, csv_rows)
         # The header goes with the first block.
-        assert [piece.count("\n") for piece in lines] == [1025, 1024, 952]
+        assert [piece.count("\n") for piece in lines] == [1 + blocks[0], *blocks[1:]]
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(columns=_column_tables(_past_block_edges))
+    def test_the_text_does_not_depend_on_the_block_size(self, columns):
+        arrays = list(columns.values())
+        header = [f"c{i}" for i in range(_width(arrays))]
+        texts = set()
+        for values in _block_settings(_width(arrays)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("bellstat.cli._BLOCK_VALUES", values)
+                texts.add((dumps_stable({"rows": columns}), "".join(_csv_parts(header, arrays))))
+        assert len(texts) == 1
 
     def test_no_rows_is_an_empty_list(self):
         empty = Columns(a=np.empty(0), b=np.empty((0, 3)))
@@ -1345,6 +1393,13 @@ class _Pieces(io.StringIO):
         return super().write(piece)
 
 
+def _csv_row(command, row):
+    """A scan point's or a drain step's CSV cells, from its JSON row."""
+    if command == "quantum":
+        return [row["theta_deg"], row["lhs"], row["rhs"], row["violated"]]
+    return [row["step"], row["population"], *row["conditional_probabilities"], *row["remaining"]]
+
+
 def _fake_exact(monkeypatch, results, csv_columns):
     """Make ``exact`` (run with ``--config wigner-uniform``) report ``results``
     and write the arrays ``csv_columns`` as its CSV rows."""
@@ -1418,12 +1473,45 @@ class TestStreamedReport:
             assert main(["exact", "--config", "wigner-uniform", "--format", fmt]) == 0
             assert "".join(out.pieces) == emit(reports[0], fmt)
         n = len(next(iter(columns.values())))
-        blocks = [min(1024, n - i) for i in range(0, n, 1024)]
+        blocks = block_rows(n, _width(columns.values()))
         if fmt == "json":
             # Each row opens at results.rows' row indent; no piece holds two blocks.
             rows = [piece.count("\n      {") for piece in out.pieces]
             assert [r for r in rows if r] == blocks
         else:
+            assert [piece.count("\n") for piece in out.pieces] == [1 + blocks[0], *blocks[1:]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("command, width", [("quantum", 4), ("drain", 18)])
+    def test_a_report_at_a_block_edge(self, command, width, offset, fmt, monkeypatch, tmp_path):
+        """A scan (4 values a row) and a drain (18) of one row less, as many
+        rows as, and one row more than a block holds: the pieces are the
+        blocks, and the text is the one the recursive writers give."""
+        n = rows_per_block(width) + offset
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"axes_spacing_deg": 179, "steps": n, "samples": 2000} if command == "quantum"
+            else {"table": [n - 7, 1, 1, 1, 1, 1, 1, 1]}
+        ))
+        out = _Pieces()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([command, "--config", str(config), "--format", fmt]) == 0
+        text = report = "".join(out.pieces)
+        if fmt == "csv":  # the rows, from the JSON report
+            assert main([command, "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+            report = (tmp_path / "r.json").read_text(encoding="utf-8")
+        doc = json.loads(report)
+        table = doc["results"]["scan" if command == "quantum" else "steps"]
+        assert len(table) == n
+        blocks = block_rows(n, width)
+        if fmt == "json":
+            assert text == reference_dumps(doc) + "\n"
+            rows = [piece.count("\n      {") for piece in out.pieces]
+            assert [r for r in rows if r] == blocks
+        else:
+            header = COMMANDS[command].csv_header
+            assert text == reference_csv(header, (_csv_row(command, row) for row in table))
             assert [piece.count("\n") for piece in out.pieces] == [1 + blocks[0], *blocks[1:]]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -236,3 +236,38 @@ def test_the_writer_works_before_any_command_runs(tmp_path):
         assert dumps_stable({"t": table}) == dumps_stable({"t": rows})
         assert "".join(_csv_parts(("n", "x"), list(table.values()))) == "n,x\\n0,0.5\\n1,1.5\\n2,2.5\\n"
     """, *reports)
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    (["quantum", "--axes-spacing", "60", "--samples", "1000"], "quantum", "reservoir"),
+    (["simulate", "--table", "1,1,1,1,1,1,1,1", "--samples", "10"], "reservoir", "quantum"),
+    (["drain", "--table", "1,1,1,1,1,1,1,1"], "reservoir", "quantum"),
+], ids=["quantum", "simulate", "drain"])
+def test_a_command_that_draws_loads_only_its_module(argv, loaded, unloaded):
+    """In a fresh process, quantum never imports reservoir, and simulate and
+    drain never import quantum, in either format."""
+    child("""
+        import contextlib, io, sys
+        import bellstat.cli as cli
+
+        *argv, loaded, unloaded = sys.argv[1:]
+        for fmt in ("json", "csv"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*argv, "--format", fmt]) == 0, fmt
+        assert "bellstat." + loaded in sys.modules
+        assert "bellstat." + unloaded not in sys.modules, unloaded
+    """, *argv, loaded, unloaded)
+
+
+def test_a_name_loads_only_its_module():
+    """Reading a cli name binds the names of its module and no other."""
+    child("""
+        import sys
+        import bellstat.cli as cli
+
+        cli.quantum_wigner_scan
+        assert "bellstat.reservoir" not in sys.modules
+        assert "singlet_sample" in vars(cli) and "sample" not in vars(cli)
+        cli.sample
+        assert "bellstat.reservoir" in sys.modules and "population_counts" in vars(cli)
+    """)
