@@ -27,7 +27,6 @@ from bellstat import (
     wigner_check_probabilities,
 )
 from bellstat.populations import WIGNER_OUTCOMES, holds
-from bellstat.reservoir import threshold_counts
 from bellstat.rng import stream
 
 AB = PairOutcome("a", +1, "b", +1)
@@ -238,6 +237,17 @@ class TestColumnarScan:
             tracemalloc.stop()
         assert len(scan) == steps
         assert peak - retained <= 8 * steps + 64 * 1024
+
+
+@pytest.mark.parametrize("spacing", [1e-154, 3e-154, 1e-153])
+def test_subnormal_squares_take_both_products(spacing):
+    """Near theta = 1e-154, sin^2(theta / 2) is subnormal, and halving it
+    drops a bit that doubling does not bring back: rhs is f(theta) + f(theta)
+    only as ((1/2) sin^2(theta / 2)) * 2, not as the square itself."""
+    scan = quantum_wigner_scan(spacing, 1000)
+    assert_scan_is(scan, per_step_scan(spacing, 1000))
+    squares = np.array([math.sin(t / 2.0) ** 2 for t in scan.theta.tolist()])
+    assert (squares != scan.rhs).any()
 
 
 class TestPinnedScan:
@@ -461,31 +471,8 @@ class TestPinnedCounts:
         assert digest.hexdigest() == self.DIGESTS[policy, spacing_deg]
 
 
-def reference_sign_counts(u, thresholds):
-    """The ``searchsorted`` + ``bincount`` cell tally that threshold counts replaced."""
-    edges = np.append(thresholds, 1.0)
-    return np.bincount(np.searchsorted(edges, u, side="right"), minlength=4).tolist()
-
-
 class TestSignCounts:
-    """Threshold counts place every draw in the cell ``searchsorted`` did."""
-
-    @pytest.mark.parametrize("probabilities", [
-        (0.125, 0.375, 0.375, 0.125),
-        (0.0, 0.5, 0.5, 0.0),  # theta = 0: two empty cells, tied thresholds
-        (0.5, 0.0, 0.0, 0.5),  # theta = pi: the middle cells are empty
-        (0.25, 0.25, 0.25, 0.25),
-        (0.0, 0.0, 0.0, 1.0),
-    ])
-    def test_ties_at_the_thresholds_and_empty_cells(self, probabilities):
-        thresholds = np.cumsum(probabilities[:3])
-        u = np.concatenate([
-            np.random.default_rng(0).random(1000),
-            thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, 1.0),
-            [0.0, np.nextafter(1.0, 0.0)],
-        ])
-        u = u[u < 1.0]
-        assert threshold_counts(u, thresholds) == reference_sign_counts(u, thresholds)
+    """Each group of the sampler's counts is one ``multinomial`` call on the stream."""
 
     @pytest.mark.parametrize("n, policy", [
         (2**16 - 1, "uniform"), (2**16, "uniform"), (2**16 + 1, "uniform"),

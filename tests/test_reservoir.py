@@ -30,6 +30,7 @@ from bellstat.reservoir import (
     population_counts,
     remaining_counts,
     sample,
+    threshold_counts,
 )
 from bellstat.rng import stream, validate_seed
 
@@ -529,3 +530,30 @@ class TestDivergence:
     def test_empty_bag_rejected(self):
         with pytest.raises(ValidationError, match="^bag must contain at least one pair$"):
             finite_vs_infinite_divergence(PopulationTable.uniform(0), 1, seeds=[1])
+
+
+def reference_sign_counts(u, thresholds):
+    """The ``searchsorted`` + ``bincount`` cell tally that threshold counts replaced."""
+    edges = np.append(thresholds, 1.0)
+    return np.bincount(np.searchsorted(edges, u, side="right"), minlength=4).tolist()
+
+
+class TestThresholdCounts:
+    """Threshold counts place every draw in the cell ``searchsorted`` did."""
+
+    @pytest.mark.parametrize("probabilities", [
+        (0.125, 0.375, 0.375, 0.125),
+        (0.0, 0.5, 0.5, 0.0),  # theta = 0: two empty cells, tied thresholds
+        (0.5, 0.0, 0.0, 0.5),  # theta = pi: the middle cells are empty
+        (0.25, 0.25, 0.25, 0.25),
+        (0.0, 0.0, 0.0, 1.0),
+    ])
+    def test_ties_at_the_thresholds_and_empty_cells(self, probabilities):
+        thresholds = np.cumsum(probabilities[:3])
+        u = np.concatenate([
+            np.random.default_rng(0).random(1000),
+            thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[u < 1.0]
+        assert threshold_counts(u, thresholds) == reference_sign_counts(u, thresholds)
