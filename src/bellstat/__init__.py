@@ -15,9 +15,11 @@ The library has four pillars, one module each:
 The ``bellstat`` command line (:mod:`bellstat.cli`) orchestrates all four and
 emits machine-readable JSON/CSV reports.
 
-``import bellstat`` loads ``populations`` and ``entropy`` only.  ``reservoir``
-and ``quantum``, and numpy with them, load the first time one of their names
-is used; ``from bellstat import X`` works for every name in ``__all__``.
+``import bellstat`` loads ``populations`` and ``entropy`` only; the one
+estimator, ``EmpiricalEstimate``, is defined in ``populations``, so it loads
+without numpy.  ``reservoir`` and ``quantum``, and numpy with them, load the
+first time one of their names is used; ``from bellstat import X`` works for
+every name in ``__all__``.
 """
 
 from importlib import import_module as _import_module
@@ -30,6 +32,7 @@ from .populations import (
     AXIS_LABELS,
     Axis,
     AxisTriple,
+    EmpiricalEstimate,
     ExactProbability,
     InequalityReport,
     PairOutcome,
@@ -65,13 +68,14 @@ from .entropy import (
     product_inequality,
 )
 
-# The reservoir and quantum names, served on first use (PEP 562): those
-# modules import numpy, which the exact and entropy arithmetic never needs.
-# The one table of what loads lazily: bellstat.cli binds these names too.
+# The names the reservoir and quantum modules define, served on first use
+# (PEP 562): those modules import numpy, which the exact and entropy
+# arithmetic never needs.  The one table of what loads lazily: bellstat.cli
+# binds these names too.
 _LAZY = {
     **dict.fromkeys((
-        "CHUNK_SIZE", "DivergenceReport", "EmpiricalEstimate", "ReservoirSpec",
-        "depletion_trajectory", "empirical_probability", "finite_vs_infinite_divergence",
+        "CHUNK_SIZE", "DivergenceReport", "ReservoirSpec", "depletion_trajectory",
+        "empirical_probability", "finite_vs_infinite_divergence",
     ), "reservoir"),
     **dict.fromkeys((
         "ScanPoint", "SingletPrediction", "SingletSampleCounts", "WignerScan",
@@ -97,7 +101,7 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 # Every public name imported above, then the lazy ones; the submodules
 # themselves are not exported.

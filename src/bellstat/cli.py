@@ -41,13 +41,15 @@ estimate gets its ``reference`` where the command adds it.  A population
 table becomes its counts, a multiplicity vector its omegas, and an axis
 triple ``{label: direction}``.
 
-Reports have a stable top-level schema ``{config, results, meta}``
-(schema id bellstat-report/1).  Identical configs yield byte-identical
-``config`` and ``results`` sections regardless of ``--workers``; wall-clock
-duration and worker count live in ``meta`` only.  Floats are emitted with 17
-significant digits, so emit -> parse -> emit is byte-identical.  The one writer,
-:func:`dumps_stable`, fills a cached template per dict shape, writing each value
-of an exact scalar type inline; only containers and subclasses recurse.
+:func:`run` returns the report document, a plain dict with the stable
+top-level schema ``{config, results, meta}`` (schema id bellstat-report/1).
+Identical configs yield byte-identical ``config`` and ``results`` sections
+regardless of ``--workers``; wall-clock duration and worker count live in
+``meta`` only.  Floats are emitted with 17 significant digits, and a float
+input of -0.0 is read as 0.0, so emit -> parse -> emit is byte-identical.  The
+one writer, :func:`dumps_stable`, fills a cached template per dict shape,
+writing each value of an exact scalar type inline; only containers and
+subclasses recurse.
 
 One rule says how rows are written: a report table is numpy arrays, and a
 record's CSV rows are joined cell by cell.  The long rows (scan points, drain
@@ -231,16 +233,6 @@ def _flags(keys: Iterable[str]) -> str:
     a config file sets stands for itself."""
     flags = {a.dest: a.option_strings[0] for a in build_parser()._actions if a.option_strings}
     return " and ".join(flags.get(key, key) for key in keys)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    config: dict
-    results: dict
-    meta: dict
-
-    def document(self) -> dict:
-        return {"config": self.config, "results": self.results, "meta": self.meta}
 
 
 # ---------------------------------------------------------------------------
@@ -797,18 +789,19 @@ def _numpy_version() -> str:
     return module.__version__
 
 
-def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
-    """Execute one experiment.  ``workers`` is validated and echoed in
-    ``meta``; it changes neither the results nor the work done."""
+def run(config: ExperimentConfig, workers: int = 1) -> dict:
+    """Execute one experiment; the report document ``{config, results,
+    meta}``.  ``workers`` is validated and echoed in ``meta``; it changes
+    neither the results nor the work done."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     results = COMMANDS[config.command].run(config)
     duration = time.perf_counter() - start
-    return RunReport(
-        config=_config_echo(config),
-        results=results,
-        meta={
+    return {
+        "config": _config_echo(config),
+        "results": results,
+        "meta": {
             "schema": SCHEMA_ID,
             "bellstat_version": __version__,
             "numpy_version": _numpy_version(),
@@ -816,22 +809,22 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
             "duration_seconds": duration,
             "workers": workers,
         },
-    )
+    }
 
 
-def _report_parts(report: RunReport, fmt: str) -> Iterator[str]:
+def _report_parts(report: dict, fmt: str) -> Iterator[str]:
     """A report's text as the pieces :func:`main` writes: one stable JSON
     document, or CSV rows per step.  Any :class:`ValidationError` is raised by
     this call, never while the pieces are made."""
     if fmt == "json":
-        return _parts(report.document(), end="\n")
+        return _parts(report, end="\n")
     if fmt == "csv":
-        command = COMMANDS[report.config["command"]]
-        return command.csv(command.csv_header, report.results)
+        command = COMMANDS[report["config"]["command"]]
+        return command.csv(command.csv_header, report["results"])
     raise ValidationError(f"unknown format {fmt!r}")
 
 
-def emit(report: RunReport, fmt: str) -> str:
+def emit(report: dict, fmt: str) -> str:
     """Serialize a report: one stable JSON document, or CSV rows per step."""
     return "".join(_report_parts(report, fmt))
 
@@ -885,14 +878,15 @@ def _axes_from(value: Any) -> AxisTriple:
 
 def _typed(key: str, kind: type) -> Callable[[Any], Any]:
     """Accept only the JSON type of a ``kind`` value (an int or a float for
-    float keys).  Bools and every other type are rejected, never coerced."""
+    float keys).  Bools and every other type are rejected, never coerced.
+    A float -0.0 is read as 0.0, whose echo parses back as the same number."""
     accepted = (int, float) if kind is float else kind
     name = {int: "an integer", float: "a number", str: "a string"}[kind]
     def convert(value: Any) -> Any:
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValidationError(f"{key} must be {name}, got {value!r}")
         try:
-            return kind(value)
+            return kind(value) + 0.0 if kind is float else kind(value)
         except OverflowError:
             raise ValidationError(f"{key} is too large for a float") from None
     return convert

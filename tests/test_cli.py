@@ -25,7 +25,6 @@ from bellstat.cli import (
     MAX_SAMPLES,
     Columns,
     Command,
-    RunReport,
     _BLOCK_VALUES,
     _csv_parts,
     _csv_rows,
@@ -132,7 +131,7 @@ class TestConfigValidation:
         assert err.count("\n") == 1
         assert "steps" in err and "--axes-spacing" in err
         path.write_text(json.dumps({"axes": axes, "steps": 1, "samples": 100}))
-        assert len(run(resolve_config("quantum", str(path), {})).results["scan"]["lhs"]) == 1
+        assert len(run(resolve_config("quantum", str(path), {}))["results"]["scan"]["lhs"]) == 1
 
     @pytest.mark.parametrize("argv, config_text, needle", [
         (["quantum"], '{"axes": {"a": [0, 0, 1], "b": [0, 1, 0], "c": [1, 0, 0]}, '
@@ -176,7 +175,7 @@ class TestConfigValidation:
             "entropy", None, {"table": "1,1,1,1,1,1,1,1", "policy": "proportional"}
         )
         report = run(config)
-        assert report.results["omegas"] == [1.0] * 8
+        assert report["results"]["omegas"] == [1.0] * 8
 
     # Each bad value goes to a command that reads its key, so the value check,
     # not the unread-input rule, rejects it.  The ids are the cases' indices.
@@ -608,11 +607,177 @@ class TestExitCodeContract:
             assert err.getvalue().count("\n") == 1
 
 
+@st.composite
+def _omegas_with_a_one(draw):
+    """Eight omegas, at least one exactly 1, whose total entropy is negative."""
+    ones = draw(st.lists(st.booleans(), min_size=8, max_size=8).filter(any))
+    logs = draw(st.lists(st.floats(-7.0, 3.0), min_size=8, max_size=8))
+    omegas = [1.0 if one else math.exp(x) for one, x in zip(ones, logs)]
+    assume(math.fsum(map(math.log, omegas)) < 0.0)
+    return omegas
+
+
+# Strategies for the report contract: configs every command runs, in every
+# form, with the edges of the other tests: bag totals near 2^32 and 2^63,
+# empty populations and one-pair bags, spacings near 0, 90 and 180 degrees and
+# subnormal ones, omegas with an exact 1 and a negative total entropy, and
+# tables of rows either side of 1,024, 2,048 and each command's block (4,096
+# scan points, 910 drain steps).  Float inputs include signed zeros.
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_EPSILON = _SIGNED_ZERO | st.floats(0.0, 2.0)
+_SEED = st.integers(0, 2**64 - 1)
+_ROW_EDGES = [1023, 1024, 1025, 2047, 2048, 2049]
+_DRAIN_TOTALS = st.integers(1, 60) | st.sampled_from([909, 910, 911, *_ROW_EDGES])
+_SCAN_STEPS = st.integers(1, 30) | st.sampled_from([*_ROW_EDGES, 4095, 4096, 4097])
+_BAG_TOTALS = st.integers(1, 60) | st.sampled_from(
+    [2**32 - 1, 2**32, 2**32 + 1, 2**63 - 2, 2**63 - 1]
+)
+_SPACINGS = st.floats(2e-322, 180.0, exclude_max=True) | st.sampled_from([
+    2e-322, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-9, 1.0,
+    math.nextafter(90.0, 0.0), 90.0, math.nextafter(90.0, 180.0), 179.0,
+    math.nextafter(180.0, 0.0),
+])
+# Unit axes with zero components.
+_UNIT_AXES = [
+    [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.28, 0.96, 0], [0.8, 0.6, 0], [0, -0.6, 0.8],
+]
+
+
+@st.composite
+def _tables(draw, totals):
+    """Eight counts with a total from ``totals``; a cut at either end leaves
+    populations empty."""
+    total = draw(totals)
+    cut = st.integers(0, total) | st.sampled_from([0, total])
+    cuts = sorted(draw(st.lists(cut, min_size=7, max_size=7)))
+    return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def _axis(draw):
+    """A unit 3-vector: one of :data:`_UNIT_AXES`, or any direction; each
+    zero component is drawn as 0.0 or -0.0."""
+    if draw(st.booleans()):
+        vector = [float(x) for x in draw(st.sampled_from(_UNIT_AXES))]
+    else:
+        polar, azimuth = draw(st.floats(0.0, math.pi)), draw(st.floats(-math.pi, math.pi))
+        vector = [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth),
+                  math.cos(polar)]
+    if draw(st.booleans()):
+        vector = [-x for x in vector]
+    return [draw(_SIGNED_ZERO) if x == 0.0 else x for x in vector]
+
+
+_REPORT_CONFIGS = st.one_of(
+    st.tuples(st.just("exact"), st.fixed_dictionaries({"table": _tables(_BAG_TOTALS)})),
+    st.tuples(st.just("simulate"), st.fixed_dictionaries({
+        "table": _tables(_BAG_TOTALS), "samples": st.integers(1, 2000), "seed": _SEED,
+    })),
+    st.tuples(st.just("simulate"), _tables(_BAG_TOTALS).flatmap(
+        lambda table: st.fixed_dictionaries({
+            "table": st.just(table), "mode": st.just("finite"),
+            "samples": st.integers(1, min(sum(table), 2000)), "seed": _SEED,
+        })
+    )),
+    st.tuples(st.just("drain"), st.fixed_dictionaries({
+        "table": _tables(_DRAIN_TOTALS), "seed": _SEED,
+    })),
+    st.tuples(st.just("quantum"), st.fixed_dictionaries({
+        "axes_spacing_deg": _SPACINGS, "steps": _SCAN_STEPS,
+        "samples": st.integers(500, 3000), "seed": _SEED,
+    })),
+    st.tuples(st.just("quantum"), st.fixed_dictionaries({
+        "axes": st.fixed_dictionaries({k: _axis() for k in "abc"}),
+        "samples": st.integers(500, 3000), "seed": _SEED,
+    })),
+    st.tuples(st.just("entropy"), st.fixed_dictionaries({
+        "omegas": _omegas_with_a_one() | st.lists(st.floats(1e-3, 1e3), min_size=8, max_size=8),
+        "epsilon": _EPSILON,
+    })),
+    st.tuples(st.just("entropy"), st.fixed_dictionaries({
+        "table": _tables(_BAG_TOTALS), "policy": st.sampled_from(["equal", "proportional"]),
+        "epsilon": _EPSILON,
+    }).map(lambda c: {**c, "table": [n + (c["policy"] == "proportional") for n in c["table"]]})),
+    st.tuples(st.just("counterexample"), st.fixed_dictionaries({
+        "samples": st.integers(1, 200), "seed": _SEED, "epsilon": _EPSILON,
+    })),
+)
+
+# Each config key a flag sets, and its text on the command line.
+_AS_FLAG = {
+    "table": ("--table", lambda v: ",".join(map(str, v))),
+    "omegas": ("--omegas", lambda v: ",".join(map(repr, v))),
+    "axes_spacing_deg": ("--axes-spacing", repr),
+    "samples": ("--samples", str),
+    "seed": ("--seed", str),
+    "policy": ("--policy", str),
+    "epsilon": ("--epsilon", repr),
+}
+
+
+_OUTCOME_KEYS = ("alice_axis", "alice_sign", "bob_axis", "bob_sign")
+
+
+def reference_rows(command, r):
+    """The CSV rows a report's JSON ``results`` hold, read field by field."""
+    if command == "exact":
+        return [[t["label"], *(t["outcome"][k] for k in _OUTCOME_KEYS),
+                 ";".join(map(str, t["populations"])), t["numerator"], t["denominator"],
+                 t["value"]] for t in r["wigner"]["terms"]]
+    if command == "simulate":
+        return [[e["outcome"]["label"], *(e["outcome"][k] for k in _OUTCOME_KEYS),
+                 e["p_hat"], e["stderr"], e["n"], e["reference"]] for e in r["estimates"]]
+    if command == "drain":
+        return [[s["step"], s["population"], *s["conditional_probabilities"], *s["remaining"]]
+                for s in r["steps"]]
+    if command == "quantum":
+        return [[p["theta_deg"], p["lhs"], p["rhs"], p["violated"]] for p in r["scan"]]
+    if command == "entropy":
+        return [[name, *(r[name][k] for k in ("lhs", "rhs", "margin", "holds")),
+                 r[name].get("equal_multiplicity_precondition", "")]
+                for name in ("multiplicity_inequality", "product_inequality",
+                             "entropy_inequality")]
+    if not r["found"]:
+        return []
+    return [[True, *r["omegas"], *(r["report"][k] for k in ("lhs", "rhs", "margin"))]]
+
+
+class TestReportContract:
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(case=_REPORT_CONFIGS, data=st.data())
+    def test_every_report_round_trips_and_its_csv_is_its_json(self, tmp_path, case, data):
+        """Every runnable config exits 0 in both formats.  Its JSON
+        round-trips byte for byte and writes no ``-0``; its CSV is its
+        command's header, then the rows its JSON holds, in the same texts."""
+        command, config = case
+        flags = data.draw(st.sets(st.sampled_from(sorted(set(config) & set(_AS_FLAG)))))
+        argv = [command]
+        for key in sorted(flags):
+            flag, text = _AS_FLAG[key]
+            argv += [flag, text(config.pop(key))]
+        path = tmp_path / "report-config.json"
+        path.write_text(json.dumps(config))
+        texts = {}
+        for fmt in ("json", "csv"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main([*argv, "--config", str(path), "--format", fmt]) == 0, (argv, config)
+            texts[fmt] = out.getvalue()
+        ints = []
+        doc = json.loads(texts["json"], parse_int=lambda text: ints.append(text) or int(text))
+        assert dumps_stable(doc) + "\n" == texts["json"]
+        assert "-0" not in ints
+        rows = reference_rows(command, doc["results"])
+        assert texts["csv"] == reference_csv(COMMANDS[command].csv_header, rows)
+
+
 class TestRun:
     def test_exact_uniform(self):
         config = resolve_config("exact", None, {"table": "1,1,1,1,1,1,1,1"})
         report = run(config)
-        wigner = report.results["wigner"]
+        wigner = report["results"]["wigner"]
         assert wigner["lhs"] == 0.25
         assert wigner["rhs"] == 0.5
         assert wigner["holds"] is True
@@ -621,7 +786,7 @@ class TestRun:
         config = resolve_config(
             "quantum", None, {"axes_spacing_deg": 60.0, "samples": 1000}
         )
-        scan = run(config).results["scan"]
+        scan = run(config)["results"]["scan"]
         (lhs,), (rhs,), (violated,) = (scan[k].tolist() for k in ("lhs", "rhs", "violated"))
         assert lhs == pytest.approx(0.375, abs=1e-12)
         assert rhs == pytest.approx(0.25, abs=1e-12)
@@ -638,7 +803,7 @@ class TestRun:
         config = resolve_config(
             "quantum", None, {"axes_spacing_deg": 179.0, "steps": 3000, "samples": 100}
         )
-        table = run(config).results["scan"]
+        table = run(config)["results"]["scan"]
         (scan,) = scans
         for key in ("lhs", "rhs", "violated"):
             assert table[key] is getattr(scan, key)
@@ -650,12 +815,13 @@ class TestRun:
             json.dumps({"axes": {"a": [0, 0, 1], "b": [0, 1, 0], "c": [1, 0, 0]}, "samples": 100})
         )
         config = resolve_config("quantum", str(path), {})
-        (theta_deg,) = run(config).results["scan"]["theta_deg"]
+        (theta_deg,) = run(config)["results"]["scan"]["theta_deg"]
         assert theta_deg == pytest.approx(90.0, abs=1e-9)
 
     def test_explicit_axes_scan_is_one_row_of_arrays(self):
         axes = {"a": [0, 0, 1], "b": [0.28, 0.96, 0], "c": [0.8, 0.6, 0]}
-        scan = run(resolve_config("quantum", None, {"axes": axes, "samples": 100})).results["scan"]
+        report = run(resolve_config("quantum", None, {"axes": axes, "samples": 100}))
+        scan = report["results"]["scan"]
         for key, dtype in (("theta_deg", np.float64), ("lhs", np.float64),
                            ("rhs", np.float64), ("violated", np.bool_)):
             assert isinstance(scan[key], np.ndarray), key
@@ -669,7 +835,7 @@ class TestRun:
         spaced = run(
             resolve_config("quantum", None, {"axes_spacing_deg": spacing_deg, "samples": 100})
         )
-        a, b = explicit.results["scan"], spaced.results["scan"]
+        a, b = explicit["results"]["scan"], spaced["results"]["scan"]
         for key in ("lhs", "rhs", "violated"):
             assert len(a[key]) == 1 and a[key] == b[key]
         assert a["theta_deg"] == pytest.approx(b["theta_deg"], abs=1e-9)
@@ -683,21 +849,21 @@ class TestRun:
         config = resolve_config(
             "quantum", None, {"axes_spacing_deg": spacing_deg, "steps": steps, "samples": 100}
         )
-        theta_deg = run(config).results["scan"]["theta_deg"]
+        theta_deg = run(config)["results"]["scan"]["theta_deg"]
         expected = [spacing_deg * k / steps for k in range(1, steps + 1)]
         assert repr(theta_deg.tolist()) == repr(expected)
 
     def test_drain_reaches_certainty(self):
         config = resolve_config("drain", None, {"table": "2,1,0,0,0,0,0,0"})
         report = run(config)
-        assert report.results["final_conditional_probability"] == 1.0
-        assert report.results["steps"]["step"].tolist() == [1, 2, 3]
+        assert report["results"]["final_conditional_probability"] == 1.0
+        assert report["results"]["steps"]["step"].tolist() == [1, 2, 3]
 
     def test_finite_simulate_of_the_whole_bag_has_no_standard_error(self):
         config = resolve_config(
             "simulate", None, {"table": [3, 1, 4, 1, 5, 9, 2, 6], "mode": "finite", "samples": 31}
         )
-        estimates = run(config).results["estimates"]
+        estimates = run(config)["results"]["estimates"]
         assert [e["p_hat"] for e in estimates] == [e["reference"] for e in estimates]
         assert [e["stderr"] for e in estimates] == [0.0, 0.0, 0.0]
 
@@ -706,24 +872,24 @@ class TestRun:
             "simulate", None, {"table": "1,1,1,1,1,1,1,1", "samples": 20_000}
         )
         report = run(config)
-        for est in report.results["estimates"]:
+        for est in report["results"]["estimates"]:
             assert est["reference"] == 0.25
             assert abs(est["p_hat"] - 0.25) <= 4 * est["stderr"]
-        assert report.results["empirical_wigner"]["holds"] is True
+        assert report["results"]["empirical_wigner"]["holds"] is True
 
     def test_counterexample_found_with_default_budget(self):
         config = resolve_config("counterexample", None, {"samples": 10_000})
         report = run(config)
-        assert report.results["found"] is True
-        assert report.results["report"]["holds"] is False
-        assert report.results["report"]["equal_multiplicity_precondition"] is False
+        assert report["results"]["found"] is True
+        assert report["results"]["report"]["holds"] is False
+        assert report["results"]["report"]["equal_multiplicity_precondition"] is False
 
     def test_entropy_reports_all_three_inequalities(self):
         config = resolve_config("entropy", None, {"omegas": "1,1,10,10,1,1,1,1"})
         report = run(config)
-        assert report.results["multiplicity_inequality"]["holds"] is False
-        assert report.results["product_inequality"]["holds"] is True
-        assert report.results["entropy_inequality"]["holds"] is True
+        assert report["results"]["multiplicity_inequality"]["holds"] is False
+        assert report["results"]["product_inequality"]["holds"] is True
+        assert report["results"]["entropy_inequality"]["holds"] is True
 
 
 # One config per command whose CSV has at least one row.
@@ -759,14 +925,14 @@ class TestEmission:
         config = resolve_config("counterexample", None, {"samples": 10_000})
         report = run(config)
         parsed = json.loads(emit(report, "json"))
-        assert parsed["results"]["omegas"] == report.results["omegas"]
-        assert parsed["results"]["report"]["margin"] == report.results["report"]["margin"]
+        assert parsed["results"]["omegas"] == report["results"]["omegas"]
+        assert parsed["results"]["report"]["margin"] == report["results"]["report"]["margin"]
 
     @pytest.mark.parametrize("command", ["exact", "simulate", "entropy", "counterexample"])
     def test_results_hold_plain_json_values(self, command):
         # A record or tuple left in the results would not equal its parsed JSON.
         report = run(resolve_config(command, None, CSV_ROW_CASES[command]))
-        assert report.results == json.loads(emit(report, "json"))["results"]
+        assert report["results"] == json.loads(emit(report, "json"))["results"]
 
     def test_unknown_format_rejected(self):
         report = run(resolve_config("exact", None, {"table": "1,1,1,1,1,1,1,1"}))
@@ -774,9 +940,9 @@ class TestEmission:
             emit(report, "xml")
 
     def test_empty_trajectory_gives_header_only_csv(self):
-        report = RunReport(
-            config={"command": "drain"},
-            results={
+        report = {
+            "config": {"command": "drain"},
+            "results": {
                 "steps": Columns(
                     step=np.empty(0, np.int64), population=np.empty(0, np.int64),
                     conditional_probabilities=np.empty((0, 8)),
@@ -785,8 +951,8 @@ class TestEmission:
                 "initial_total": 0,
                 "final_conditional_probability": None,
             },
-            meta={},
-        )
+            "meta": {},
+        }
         text = emit(report, "csv")
         assert text == ",".join(COMMANDS["drain"].csv_header) + "\n"
 
@@ -806,16 +972,6 @@ class TestEmission:
         config = resolve_config("counterexample", None, {"samples": 1, "seed": 0})
         text = emit(run(config), "csv")
         assert text == ",".join(COMMANDS["counterexample"].csv_header) + "\n"
-
-
-@st.composite
-def _omegas_with_a_one(draw):
-    """Eight omegas, at least one exactly 1, whose total entropy is negative."""
-    ones = draw(st.lists(st.booleans(), min_size=8, max_size=8).filter(any))
-    logs = draw(st.lists(st.floats(-7.0, 3.0), min_size=8, max_size=8))
-    omegas = [1.0 if one else math.exp(x) for one, x in zip(ones, logs)]
-    assume(math.fsum(map(math.log, omegas)) < 0.0)
-    return omegas
 
 
 class TestNegativeZero:
@@ -838,6 +994,41 @@ class TestNegativeZero:
         assert dumps_stable(doc) + "\n" == texts["json"]
         assert doc["results"]["entropy_ratios"][omegas.index(1.0)] == 0
         assert "-0" not in {cell for line in texts["csv"].splitlines() for cell in line.split(",")}
+
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["entropy", "--omegas", "1,2,3,4,5,6,7,8", "--epsilon", "-0.0"], None,
+                     id="entropy-epsilon"),
+        pytest.param(["counterexample", "--samples", "50", "--epsilon", "-0.0"], None,
+                     id="counterexample-epsilon"),
+        pytest.param(["quantum", "--samples", "1000"], {"axes": {
+            "a": [1.0, -0.0, 0.0], "b": [-0.0, 1.0, -0.0], "c": [0.8, 0.6, -0.0],
+        }}, id="quantum-axes"),
+    ])
+    def test_a_negative_zero_input_is_read_as_zero(self, tmp_path, capsys, argv, config):
+        """A float input of -0.0 is echoed in ``config`` as 0, not ``-0``, so
+        the JSON round trip gives the same bytes back; the report is the one
+        an input of 0.0 gives."""
+        reports = []
+        for zero in ("-0.0", "0.0"):
+            flags = [arg.replace("-0.0", zero) for arg in argv]
+            inputs = config and json.loads(json.dumps(config).replace("-0.0", zero))
+            for fmt in ("json", "csv"):
+                assert _main_with(tmp_path, flags, inputs, ["--format", fmt]) == 0
+                reports.append(capsys.readouterr().out)
+        json_text, csv_text, positive_json, positive_csv = reports
+        ints = []
+        doc = json.loads(json_text, parse_int=lambda text: ints.append(text) or int(text))
+        assert "-0" not in ints
+        assert dumps_stable(doc) + "\n" == json_text
+        positive = json.loads(positive_json)
+        assert (doc["config"], doc["results"]) == (positive["config"], positive["results"])
+        assert csv_text == positive_csv
+
+    def test_a_negative_zero_spacing_is_out_of_range_as_zero(self, capsys):
+        assert main(["quantum", "--axes-spacing", "-0.0", "--samples", "100"]) == 2
+        assert capsys.readouterr().err == (
+            "bellstat: axes spacing must be in (0, 180) degrees, got 0.0\n"
+        )
 
 
 def reference_dumps(obj, indent=0):
@@ -1177,6 +1368,10 @@ _ARRAY_KINDS = {
 }
 
 
+#: The dtype of each kind of :data:`_VALUES`, so that an empty column has it too.
+_DTYPES = {"float": np.float64, "fast float": np.float64, "int": np.int64, "bool": np.bool_}
+
+
 def _int64(rng):
     """An int that an int64 array holds."""
     return rng.randint(-2**63, 2**63 - 1)
@@ -1199,12 +1394,11 @@ def _column_tables(draw, sizes):
     def column(kind):
         if kind in _ARRAY_KINDS:
             value, dtype = _ARRAY_KINDS[kind]
-            return np.array([[value(rng) for _ in range(width)] for _ in range(n)], dtype=dtype)
-        name = kind.removeprefix("1-D ").removesuffix(" array")
-        value = _int64 if name == "int" else _VALUES[name]
-        if kind.startswith("1-D "):
-            return np.array([value(rng) for _ in range(n)])
-        return np.array([[value(rng) for _ in range(width)] for _ in range(n)])
+        else:
+            name = kind.removeprefix("1-D ").removesuffix(" array")
+            value, dtype = _int64 if name == "int" else _VALUES[name], _DTYPES[name]
+        shape = (n,) if kind.startswith("1-D ") else (n, width)
+        return np.array([value(rng) for _ in range(math.prod(shape))], dtype=dtype).reshape(shape)
     return Columns((key, column(kind)) for key, kind in zip(keys, kinds))
 
 
@@ -1579,7 +1773,7 @@ class TestPresets:
         overrides = {"samples": 2000} if data["command"] == "quantum" else {}
         config = resolve_config(data["command"], name, overrides)
         report = run(config)
-        assert report.results
+        assert report["results"]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_set_only_keys_their_command_reads(self, name):
@@ -1590,8 +1784,8 @@ class TestPresets:
     def test_marble_bag_preset_drains_to_certainty(self):
         config = resolve_config("drain", "marble-bag", {})
         report = run(config)
-        assert report.results["final_conditional_probability"] == 1.0
-        assert len(report.results["steps"]["step"]) == report.results["initial_total"]
+        assert report["results"]["final_conditional_probability"] == 1.0
+        assert len(report["results"]["steps"]["step"]) == report["results"]["initial_total"]
 
 
 class TestCommandLine:

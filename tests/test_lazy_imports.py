@@ -5,6 +5,8 @@ Each check that depends on what a process has imported runs in a child
 interpreter, since this test process has long since imported numpy.
 """
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -21,9 +23,9 @@ from bellstat.cli import main
 PUBLIC = {
     "errors": ["BellstatError", "ValidationError"],
     "populations": [
-        "TOL", "AXIS_LABELS", "Axis", "AxisTriple", "ExactProbability", "InequalityReport",
-        "PairOutcome", "PopulationTable", "SignTriple", "Term", "WIGNER_OUTCOMES",
-        "angle_between", "exact_probability", "outcome_populations",
+        "TOL", "AXIS_LABELS", "Axis", "AxisTriple", "EmpiricalEstimate", "ExactProbability",
+        "InequalityReport", "PairOutcome", "PopulationTable", "SignTriple", "Term",
+        "WIGNER_OUTCOMES", "angle_between", "exact_probability", "outcome_populations",
         "population_pair_partition", "population_signs", "wigner_check",
         "wigner_check_probabilities",
     ],
@@ -35,8 +37,8 @@ PUBLIC = {
         "multiplicity_inequality", "multiplicity_probability", "product_inequality",
     ],
     "reservoir": [
-        "CHUNK_SIZE", "DivergenceReport", "EmpiricalEstimate", "ReservoirSpec",
-        "depletion_trajectory", "empirical_probability", "finite_vs_infinite_divergence",
+        "CHUNK_SIZE", "DivergenceReport", "ReservoirSpec", "depletion_trajectory",
+        "empirical_probability", "finite_vs_infinite_divergence",
     ],
     "quantum": [
         "ScanPoint", "SingletPrediction", "SingletSampleCounts", "WignerScan",
@@ -164,6 +166,29 @@ def test_every_public_name_resolves_in_a_fresh_process():
                 assert getattr(importlib.import_module("bellstat." + module), name) is value, name
         assert bellstat.reservoir.EmpiricalEstimate is bellstat.populations.EmpiricalEstimate
     """, json.dumps(PUBLIC))
+
+
+def test_the_estimator_loads_without_numpy():
+    """EmpiricalEstimate is pure Python, defined in populations: importing it
+    from the package loads neither numpy nor reservoir."""
+    child("""
+        import sys
+        from bellstat import EmpiricalEstimate
+
+        assert EmpiricalEstimate.__module__ == "bellstat.populations"
+        assert "numpy" not in sys.modules
+        assert "bellstat.reservoir" not in sys.modules
+    """)
+
+
+@pytest.mark.parametrize("table", [bellstat._LAZY, cli._LAZY], ids=["bellstat", "cli"])
+def test_each_lazy_name_is_defined_in_its_module(table):
+    """A class or function in a lazy table is defined in the module the table
+    loads for it, not only imported there."""
+    for name, module in table.items():
+        value = getattr(importlib.import_module(f"bellstat.{module}"), name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == f"bellstat.{module}", name
 
 
 def test_traced_cli_names_resolve_before_any_run(tmp_path):
